@@ -130,6 +130,12 @@ def cmd_count(n: int, which: str, parallel: bool, fmt: str) -> None:
     """Count full / full-indecomposable / no-growth permutations for sizes 1..N."""
     if not 1 <= n <= counting.MAX_N:
         raise click.UsageError(f"n must be in 1..{counting.MAX_N}")
+    if parallel:
+        try:
+            counting.max_workers()
+        except ValueError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(2)
     reports = [counting.count_report(k, which, parallel=parallel) for k in range(1, n + 1)]
     if fmt == "csv":
         click.echo(counting.CountReport.CSV_HEADER)

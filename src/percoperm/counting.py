@@ -67,7 +67,10 @@ def max_workers() -> int:
     """Worker cap: PERCOPERM_THREADS if set, else the machine parallelism."""
     env = os.environ.get("PERCOPERM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"PERCOPERM_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

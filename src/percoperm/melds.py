@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .perm import Word, check_permutation
-from .percolation import FinalConfiguration, Tile, _condense
+from .percolation import FinalConfiguration, Tile
 
 __all__ = [
     "Kind",
@@ -36,12 +36,13 @@ class Kind(enum.Enum):
     SQUARE = "square"
 
 
-@dataclass(frozen=True)
-class Meld:
+class Meld(NamedTuple):
     """Leaf (value at a position) or a Round/Square merge of two melds.
 
     ``lo..hi`` is the value interval, ``start..end`` the 1-based position
-    span; both are contiguous by construction.
+    span; both are contiguous by construction.  A meld is immutable.
+    Trees can be as deep as the permutation is long, so nothing here
+    walks them recursively.
     """
 
     lo: int
@@ -61,20 +62,10 @@ class Meld:
         if left.end + 1 != right.start:
             raise ValueError("melds are not position-adjacent")
         if left.hi + 1 == right.lo:
-            kind = Kind.ROUND
-        elif right.hi + 1 == left.lo:
-            kind = Kind.SQUARE
-        else:
-            raise ValueError("meld values do not form a consecutive interval")
-        return cls(
-            min(left.lo, right.lo),
-            max(left.hi, right.hi),
-            left.start,
-            right.end,
-            kind,
-            left,
-            right,
-        )
+            return cls(left.lo, right.hi, left.start, right.end, Kind.ROUND, left, right)
+        if right.hi + 1 == left.lo:
+            return cls(right.lo, left.hi, left.start, right.end, Kind.SQUARE, left, right)
+        raise ValueError("meld values do not form a consecutive interval")
 
     @property
     def is_leaf(self) -> bool:
@@ -82,11 +73,14 @@ class Meld:
 
     def leaves(self) -> Iterator[int]:
         """Leaf values in position order."""
-        if self.is_leaf:
-            yield self.lo
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
+        todo = [self]
+        while todo:
+            m = todo.pop()
+            if m.kind is None:
+                yield m.lo
+            else:
+                todo.append(m.right)
+                todo.append(m.left)
 
     def word(self) -> Word:
         return tuple(self.leaves())
@@ -103,35 +97,42 @@ def _mergeable(a: Meld, b: Meld) -> bool:
     return a.hi + 1 == b.lo or b.hi + 1 == a.lo
 
 
-def _outcome(melds: list[Meld], n: int) -> MergeOutcome:
-    tiles = tuple(Tile(n - m.hi + 1, m.start, m.hi - m.lo + 1) for m in melds)
-    condensed = _condense([t.row for t in tiles])
-    return MergeOutcome(tuple(melds), len(melds) == 1, FinalConfiguration(tiles, condensed))
+def _outcome(melds: Sequence[Meld], n: int) -> MergeOutcome:
+    tiles = FinalConfiguration.from_tiles(Tile(n - m.hi + 1, m.start, m.hi - m.lo + 1) for m in melds)
+    return MergeOutcome(tuple(melds), len(melds) == 1, tiles)
 
 
 def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
     """Run the left- or right-merging algorithm to exhaustion.
 
-    Each pass scans the meld list (index 1 upward for "left", from the
-    last pair downward for "right"), merges the first mergeable adjacent
-    pair found, and restarts the scan; termination is a pass with no
-    merge.
+    Left merging always merges the leftmost mergeable adjacent pair,
+    right merging the rightmost.  Both are one O(n) pass over a stack of
+    melds, from the left or the right end: push each leaf and merge it
+    with the top while their value intervals abut.  Adjacent melds below
+    the top are never mergeable, so each merge is the one a scan from
+    that end would find first.
     """
     p = check_permutation(p)
     if direction not in ("left", "right"):
         raise ValueError(f"unknown direction {direction!r}")
-    melds = [Meld.leaf(v, i) for i, v in enumerate(p, 1)]
-    while True:
-        pairs = range(len(melds) - 1)
-        if direction == "right":
-            pairs = reversed(pairs)
-        for i in pairs:
-            if _mergeable(melds[i], melds[i + 1]):
-                melds[i : i + 2] = [Meld.merge(melds[i], melds[i + 1])]
-                break
-        else:
-            break
-    return _outcome(melds, len(p))
+    leaf, merge = Meld.leaf, Meld.merge
+    stack: list[Meld] = []
+    if direction == "left":
+        for pos, v in enumerate(p, 1):
+            node = leaf(v, pos)
+            while stack and _mergeable(stack[-1], node):
+                node = merge(stack.pop(), node)
+            stack.append(node)
+    else:
+        # From the right end the new meld is the left child, and the
+        # stack holds the melds right to left.
+        for pos in range(len(p), 0, -1):
+            node = leaf(p[pos - 1], pos)
+            while stack and _mergeable(node, stack[-1]):
+                node = merge(node, stack.pop())
+            stack.append(node)
+        stack.reverse()
+    return _outcome(stack, len(p))
 
 
 def merge_eager(p: Sequence[int]) -> MergeOutcome:
@@ -162,45 +163,69 @@ def merge_eager(p: Sequence[int]) -> MergeOutcome:
 
 def serialize_meld(m: Meld) -> str:
     """Bracketing string: "(l r)" for Round, "[l r]" for Square, value for a leaf."""
-    if m.is_leaf:
-        return str(m.lo)
-    left = serialize_meld(m.left)
-    right = serialize_meld(m.right)
-    if m.kind is Kind.ROUND:
-        return f"({left} {right})"
-    return f"[{left} {right}]"
+    out: list[str] = []
+    todo: list[Meld | str] = [m]  # melds still to write, and closing text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.kind is None:
+            out.append(str(item.lo))
+        elif item.kind is Kind.ROUND:
+            out.append("(")
+            todo += (")", item.right, " ", item.left)
+        else:
+            out.append("[")
+            todo += ("]", item.right, " ", item.left)
+    return "".join(out)
+
+
+_CLOSER = {"(": ")", "[": "]"}
+_KIND_OF_CLOSER = {")": Kind.ROUND, "]": Kind.SQUARE}
 
 
 def parse_meld(text: str, _start: int = 1) -> Meld:
-    """Inverse of serialize_meld (used for round-tripping)."""
-    meld, rest = _parse_meld(text.strip(), _start)
-    if rest:
-        raise ValueError(f"trailing input: {rest!r}")
-    return meld
+    """Inverse of serialize_meld (used for round-tripping).
 
-
-def _parse_meld(text: str, start: int) -> tuple[Meld, str]:
-    if not text:
-        raise ValueError("empty meld text")
-    if text[0] in "([":
-        close = ")" if text[0] == "(" else "]"
-        left, rest = _parse_meld(text[1:], start)
-        if not rest.startswith(" "):
+    One left-to-right walk over the string.  Each open bracket pushes a
+    frame [closing bracket, left child]; a finished meld either becomes
+    the left child of the innermost frame (a space must follow) or, as
+    its right child, completes it (its closing bracket must follow).
+    """
+    text = text.strip()
+    n = len(text)
+    i = 0
+    pos = _start
+    frames: list[list] = []
+    while True:
+        while i < n and text[i] in _CLOSER:
+            frames.append([_CLOSER[text[i]], None])
+            i += 1
+        j = i
+        while j < n and text[j].isdigit():
+            j += 1
+        if j == i:
+            raise ValueError("expected a value" if i < n else "empty meld text")
+        node = Meld.leaf(int(text[i:j]), pos)
+        pos += 1
+        i = j
+        while frames and frames[-1][1] is not None:
+            close, left = frames.pop()
+            if text[i : i + 1] != close:
+                raise ValueError(f"expected {close!r}")
+            i += 1
+            node = Meld.merge(left, node)
+            if node.kind is not _KIND_OF_CLOSER[close]:
+                raise ValueError("bracket kind does not match the value intervals")
+        if not frames:
+            break
+        if text[i : i + 1] != " ":
             raise ValueError("expected space between siblings")
-        right, rest = _parse_meld(rest[1:], left.end + 1)
-        if not rest.startswith(close):
-            raise ValueError(f"expected {close!r}")
-        node = Meld.merge(left, right)
-        expected = Kind.ROUND if close == ")" else Kind.SQUARE
-        if node.kind is not expected:
-            raise ValueError("bracket kind does not match the value intervals")
-        return node, rest[1:]
-    digits = ""
-    while text and text[0].isdigit():
-        digits, text = digits + text[0], text[1:]
-    if not digits:
-        raise ValueError("expected a value")
-    return Meld.leaf(int(digits), start), text
+        frames[-1][1] = node
+        i += 1
+    if i < n:
+        raise ValueError(f"trailing input: {text[i:]!r}")
+    return node
 
 
 def top_level_kind(p: Sequence[int]) -> Kind:
@@ -230,9 +255,9 @@ def components_via_bracketing(p: Sequence[int]) -> list[Word]:
     node = outcome.melds[0]
     rear: list[Word] = []
     while node.kind is Kind.ROUND:
-        rear.append(node.right.word())
+        rear.append(p[node.right.start - 1 : node.right.end])
         node = node.left
-    rear.append(node.word())
+    rear.append(p[node.start - 1 : node.end])
     return rear[::-1]
 
 

@@ -95,6 +95,18 @@ class FinalConfiguration:
     tiles: tuple[Tile, ...]
     condensed: Word
 
+    @classmethod
+    def from_tiles(cls, tiles: Iterable[Tile]) -> "FinalConfiguration":
+        """Configuration of tiles listed left to right.
+
+        The condensed permutation collapses each tile to one cell: the
+        highest tile (smallest top row) gets the largest value.
+        """
+        tiles = tuple(tiles)
+        m = len(tiles)
+        rank = {row: k for k, row in enumerate(sorted(t.row for t in tiles), 1)}
+        return cls(tiles, tuple(m - rank[t.row] + 1 for t in tiles))
+
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(t.size for t in self.tiles)
@@ -263,13 +275,6 @@ def _column_run(g: Grid, col: int) -> tuple[int, int]:
     return top, bottom
 
 
-def _condense(tile_tops: Sequence[int]) -> Word:
-    """Condensed permutation from the tiles' top rows, listed left to right."""
-    m = len(tile_tops)
-    rank = {t: k for k, t in enumerate(sorted(tile_tops), 1)}
-    return tuple(m - rank[t] + 1 for t in tile_tops)
-
-
 def final_configuration(p: Sequence[int]) -> FinalConfiguration:
     """Percolate matrix_of(p) and extract the final square unitary tiles.
 
@@ -289,7 +294,7 @@ def final_configuration(p: Sequence[int]) -> FinalConfiguration:
                 raise AssertionError("final tile is not square")
         tiles.append(Tile(top, col, size))
         col += size
-    return FinalConfiguration(tuple(tiles), _condense([t.row for t in tiles]))
+    return FinalConfiguration.from_tiles(tiles)
 
 
 def is_full(p: Sequence[int]) -> bool:

@@ -36,7 +36,9 @@ def check_permutation(values: Sequence[int]) -> Word:
         raise ValueError("empty permutation")
     seen = set()
     for v in p:
-        if not isinstance(v, int) or not 1 <= v <= n:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"value {v!r} is not an integer")
+        if not 1 <= v <= n:
             raise ValueError(f"value {v!r} out of range 1..{n}")
         if v in seen:
             raise ValueError(f"duplicate value {v}")

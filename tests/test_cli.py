@@ -5,8 +5,8 @@ from click.testing import CliRunner
 from percoperm.cli import main
 
 
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+def run(*args, env=None):
+    return CliRunner().invoke(main, list(args), env=env)
 
 
 class TestPercolate:
@@ -119,6 +119,12 @@ class TestCount:
     def test_invalid_n_exit_2(self):
         assert run("count", "0").exit_code == 2
         assert run("count", "13").exit_code == 2
+
+    def test_non_integer_threads_exit_2(self):
+        result = run("count", "7", "--parallel", env={"PERCOPERM_THREADS": "abc"})
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "Error: PERCOPERM_THREADS must be an integer, got 'abc'\n"
 
 
 class TestVerify:

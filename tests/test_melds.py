@@ -1,9 +1,14 @@
 import itertools
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from percoperm.cli import main
 from percoperm.melds import (
     Kind,
+    Meld,
     components_via_bracketing,
     final_value_intervals,
     merge_eager,
@@ -13,8 +18,41 @@ from percoperm.melds import (
     serialize_meld,
     top_level_kind,
 )
-from percoperm.percolation import final_configuration
+from percoperm.percolation import FinalConfiguration, Tile, final_configuration
 from percoperm.perm import comps, is_indecomposable, reverse
+
+
+def restart_scan_merge(p, direction):
+    """Reference left/right merging: the literal restart-scan loop.
+
+    Each pass scans the meld list (index 1 upward for "left", from the
+    last pair downward for "right"), merges the first mergeable adjacent
+    pair found, and restarts the scan; termination is a pass with no
+    merge.  Quadratic, so only for cross-checking merge_run.
+    """
+    melds = [Meld.leaf(v, i) for i, v in enumerate(p, 1)]
+    while True:
+        pairs = range(len(melds) - 1)
+        if direction == "right":
+            pairs = reversed(pairs)
+        for i in pairs:
+            a, b = melds[i], melds[i + 1]
+            if a.hi + 1 == b.lo or b.hi + 1 == a.lo:
+                melds[i : i + 2] = [Meld.merge(a, b)]
+                break
+        else:
+            return melds
+
+
+def assert_matches_restart_scan(p, direction):
+    expected = restart_scan_merge(p, direction)
+    out = merge_run(p, direction)
+    assert list(out.melds) == expected
+    assert [serialize_meld(m) for m in out.melds] == [serialize_meld(m) for m in expected]
+    n = len(p)
+    tiles = [Tile(n - m.hi + 1, m.start, m.hi - m.lo + 1) for m in expected]
+    assert out.tiles == FinalConfiguration.from_tiles(tiles)
+    assert out.full == (len(expected) == 1)
 
 
 class TestGoldenBracketings:
@@ -186,3 +224,97 @@ def test_final_intervals_match_merge_run(n):
     for p in itertools.permutations(range(1, n + 1)):
         intervals = final_value_intervals(p)
         assert intervals == [(m.lo, m.hi) for m in merge_run(p, "left").melds]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_merge_run_matches_restart_scan(n):
+    for p in itertools.permutations(range(1, n + 1)):
+        assert_matches_restart_scan(p, "left")
+        assert_matches_restart_scan(p, "right")
+
+
+@st.composite
+def separable_perms(draw, max_n=200):
+    """Full permutations: adjacent blocks joined by direct or skew sums."""
+    n = draw(st.integers(1, max_n))
+    blocks = [(1,)] * n
+    while len(blocks) > 1:
+        i = draw(st.integers(0, len(blocks) - 2))
+        a, b = blocks[i], blocks[i + 1]
+        if draw(st.booleans()):
+            joined = a + tuple(v + len(a) for v in b)
+        else:
+            joined = tuple(v + len(b) for v in a) + b
+        blocks[i : i + 2] = [joined]
+    return blocks[0]
+
+
+any_perms = st.integers(1, 200).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
+
+
+@settings(deadline=None)  # the oracle is quadratic
+@given(st.one_of(any_perms, separable_perms()), st.sampled_from(["left", "right"]))
+def test_merge_run_matches_restart_scan_up_to_200(p, direction):
+    assert_matches_restart_scan(p, direction)
+
+
+def reduce_after_dropping(p, i):
+    x = p[i]
+    return tuple(v - (v > x) for v in p[:i] + p[i + 1:])
+
+
+def test_full_iff_avoids_2413_and_3142():
+    """Separable permutations avoid exactly these two patterns.
+
+    Containment is checked without any merging: for n > 4, p contains a
+    pattern of length 4 iff deleting some one value leaves a permutation
+    that contains it.
+    """
+    avoiders = set()
+    for n in range(1, 9):
+        for p in itertools.permutations(range(1, n + 1)):
+            if n < 4:
+                avoids = True
+            elif n == 4:
+                avoids = p not in {(2, 4, 1, 3), (3, 1, 4, 2)}
+            else:
+                avoids = all(reduce_after_dropping(p, i) in avoiders for i in range(n))
+            if avoids:
+                avoiders.add(p)
+            assert quick_is_full(p) == avoids, p
+
+
+DEEP_N = 10**5
+DEEP_PERMS = {
+    "identity": tuple(range(1, DEEP_N + 1)),
+    "reversal": tuple(range(DEEP_N, 0, -1)),
+    "odd-up-even-down": tuple(range(1, DEEP_N + 1, 2)) + tuple(range(DEEP_N, 0, -2)),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_PERMS)
+def test_deep_trees_need_no_recursion(name):
+    p = DEEP_PERMS[name]
+    left = merge_run(p, "left").melds
+    right = merge_run(p, "right").melds
+    assert len(left) == len(right) == 1
+    assert right[0].word() == p
+    text = serialize_meld(left[0])
+    parsed = parse_meld(text)
+    assert parsed.word() == p
+    assert serialize_meld(parsed) == text
+    assert components_via_bracketing(p) == comps(p)
+
+
+def test_bracket_cli_on_deep_tree():
+    p = tuple(range(1500, 0, -1))
+    result = CliRunner().invoke(main, ["bracket", " ".join(map(str, p))])
+    assert result.exit_code == 0
+    assert result.output == serialize_meld(merge_run(p).melds[0]) + "\n"
+
+
+def test_meld_fields_are_read_only():
+    m = Meld.merge(Meld.leaf(1, 1), Meld.leaf(2, 2))
+    for field in Meld._fields:
+        with pytest.raises(AttributeError):
+            setattr(m, field, None)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from percoperm.perm import (
+    check_permutation,
     comps,
     format_permutation,
     is_indecomposable,
@@ -42,6 +43,11 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
             parse_permutation("   ")
+
+    @pytest.mark.parametrize("values", [(True,), [2, True], [1.0], ["1"]])
+    def test_rejects_non_integers(self, values):
+        with pytest.raises(ValueError, match="not an integer"):
+            check_permutation(values)
 
     def test_long_digit_string_rejected(self):
         with pytest.raises(ValueError, match="separators"):
