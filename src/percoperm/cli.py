@@ -25,6 +25,17 @@ def _parse_perm_arg(text: str):
         raise click.UsageError(str(exc))
 
 
+def _parse_script(text: str) -> list[tuple[int, int]]:
+    cells = []
+    for tok in text.split():
+        row, _, col = tok.partition(",")
+        try:
+            cells.append((int(row), int(col)))
+        except ValueError:
+            raise click.UsageError(f"bad script token {tok!r}: expected row,col")
+    return cells
+
+
 @click.group()
 def main() -> None:
     """Bootstrap percolation on permutation matrices."""
@@ -49,18 +60,17 @@ def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: st
     p = _parse_perm_arg(perm)
     cells = None
     if script is not None:
-        try:
-            cells = [tuple(int(x) for x in tok.split(",")) for tok in script.split()]
-        except ValueError:
-            raise click.UsageError(f"bad script: {script!r}")
+        if policy != "scripted":
+            raise click.UsageError("--script needs --policy scripted")
+        cells = _parse_script(script)
     try:
         trace = percolation.percolate(
             percolation.matrix_of(p), policy, seed=seed, script=cells
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    config = percolation.final_configuration(p)
     if fmt == "json":
+        config = percolation.FinalConfiguration.from_grid(trace.final)
         payload = {
             "steps": [{"row": r, "col": c} for r, c in trace.steps],
             "tiles": [
@@ -164,8 +174,7 @@ def _verify_checks(n: int):
 
     yield (
         f"factorial-identity n=1..{n}",
-        all(counting.verify_factorial_identity(k)[0]
-            == counting.verify_factorial_identity(k)[1] for k in range(1, n + 1)),
+        all(lhs == rhs for lhs, rhs in map(counting.verify_factorial_identity, range(1, n + 1))),
     )
     yield (
         f"half-lemma n=2..{n}",

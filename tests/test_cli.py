@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from percoperm import percolation
 from percoperm.cli import main
 
 
@@ -45,6 +46,37 @@ class TestPercolate:
         assert result.exit_code == 0
         result = run("percolate", "213", "--policy", "scripted", "--script", "1,1")
         assert result.exit_code == 2
+
+    def test_bad_script_token(self):
+        for script in ["1,2,3", "1", "a,b", "2,2 1,x"]:
+            result = run("percolate", "213", "--policy", "scripted", "--script", script)
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            bad = script.split()[-1]
+            assert result.output.splitlines()[-1] == (
+                f"Error: bad script token {bad!r}: expected row,col")
+
+    def test_script_needs_scripted_policy(self):
+        for policy in ["first-scan", "random"]:
+            result = run("percolate", "213", "--policy", policy, "--script", "2,2")
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.splitlines()[-1] == "Error: --script needs --policy scripted"
+
+    def test_percolates_once(self, monkeypatch):
+        calls = []
+        engine = percolation.percolate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(percolation, "percolate", counted)
+        for fmt in ["plain", "json"]:
+            calls.clear()
+            assert run("percolate", "1324", "--format", fmt).exit_code == 0
+            assert len(calls) == 1
 
 
 class TestBracket:

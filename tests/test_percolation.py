@@ -1,10 +1,16 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percoperm.percolation import (
+    MUTATION_LAYERS_MAX_N,
+    FinalConfiguration,
     Grid,
+    Tile,
     final_configuration,
     is_full,
     matrix_of,
@@ -15,6 +21,7 @@ from percoperm.percolation import (
     render_trace,
 )
 from percoperm.perm import reverse
+from test_melds import separable_perms
 
 
 def set_closure(p):
@@ -33,6 +40,52 @@ def set_closure(p):
                     ones.add((i, j))
                     changed = True
     return ones
+
+
+def rescan_percolate(g, policy, seed=0):
+    """Oracle: recompute every row's mutable mask at each step.
+
+    "first-scan" takes the first row-major candidate, "random" takes
+    rng.choice over the row-major candidate list.
+    """
+    rng = random.Random(seed)
+    rows = list(g.rows)
+    steps = []
+    while True:
+        candidates = sorted(mutable_cells(Grid(g.n, tuple(rows))))
+        if not candidates:
+            return tuple(steps), Grid(g.n, tuple(rows))
+        cell = candidates[0] if policy == "first-scan" else rng.choice(candidates)
+        rows[cell[0] - 1] |= 1 << (cell[1] - 1)
+        steps.append(cell)
+
+
+def column_tiles(g):
+    """Oracle: tiles read column by column through Grid.get."""
+    tiles, col = [], 1
+    while col <= g.n:
+        run = [i for i in range(1, g.n + 1) if g.get(i, col)]
+        size = len(run)
+        assert run == list(range(run[0], run[0] + size))
+        for c in range(col + 1, col + size):
+            assert [i for i in range(1, g.n + 1) if g.get(i, c)] == run
+        tiles.append(Tile(run[0], col, size))
+        col += size
+    return FinalConfiguration.from_tiles(tiles)
+
+
+def cell_render(n, rows):
+    return "\n".join("".join(str((bits >> j) & 1) for j in range(n)) for bits in rows)
+
+
+def rebuild_render(trace):
+    """Oracle: re-render every cell of every frame."""
+    rows = list(trace.initial.rows)
+    frames = [cell_render(trace.initial.n, rows)]
+    for row, col in trace.steps:
+        rows[row - 1] |= 1 << (col - 1)
+        frames.append(cell_render(trace.initial.n, rows))
+    return "\n\n".join(frames)
 
 
 class TestMatrixOf:
@@ -67,6 +120,28 @@ class TestMutate:
     def test_rejects_non_mutable(self):
         with pytest.raises(ValueError, match="not mutable"):
             mutate(matrix_of((2, 1, 3)), (1, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_accepts_exactly_the_mutable_cells(self, n):
+        # Every grid reachable from every permutation of size n.
+        seen = {matrix_of(p) for p in itertools.permutations(range(1, n + 1))}
+        frontier = list(seen)
+        while frontier:
+            g = frontier.pop()
+            mutable = mutable_cells(g)
+            for cell in itertools.product(range(1, n + 1), repeat=2):
+                if cell in mutable:
+                    nxt = mutate(g, cell)
+                    assert nxt.ones() == g.ones() | {cell}
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+                else:
+                    with pytest.raises(ValueError, match="not mutable"):
+                        mutate(g, cell)
+            for cell in [(0, 1), (1, 0), (n + 1, 1), (1, n + 1)]:
+                with pytest.raises(ValueError, match="out of range"):
+                    mutate(g, cell)
 
     def test_rejects_on_no_growth(self):
         g = matrix_of((2, 4, 1, 3))
@@ -110,6 +185,24 @@ class TestPercolate:
         with pytest.raises(ValueError, match="incomplete"):
             percolate(matrix_of((2, 1, 3)), "scripted", script=tr0.steps[:2])
 
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            percolate(matrix_of((2, 1, 3)), "last-scan")
+
+    def test_scripted_requires_a_script(self):
+        with pytest.raises(ValueError, match="requires a script"):
+            percolate(matrix_of((2, 1, 3)), "scripted")
+
+    def test_scripted_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            percolate(matrix_of((2, 1, 3)), "scripted", script=[(4, 1)])
+
+    def test_identity_300_is_one_tile(self):
+        n = 300
+        tr = percolate(matrix_of(range(1, n + 1)))
+        assert len(tr.steps) == n * n - n
+        assert FinalConfiguration.from_grid(tr.final).sizes == (n,)
+
     def test_replaying_steps_reproduces_final(self):
         tr = percolate(matrix_of((3, 4, 1, 5, 2)))
         g = tr.initial
@@ -142,8 +235,11 @@ class TestMutationLayers:
         assert not ml.U[4] and not ml.U[5] and not ml.U[6]
 
     def test_rejects_large_n(self):
+        n = MUTATION_LAYERS_MAX_N
+        assert n == 5
+        assert len(mutation_layers(matrix_of(range(1, n + 1))).U) == n * n - n + 1
         with pytest.raises(ValueError, match="n <= 5"):
-            mutation_layers(matrix_of((1, 2, 3, 4, 5, 6)))
+            mutation_layers(matrix_of(range(1, n + 2)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_layer_soundness_exhaustive(self, n):
@@ -173,6 +269,17 @@ class TestFinalConfiguration:
         ]
         assert sum(fc.sizes) == 5
         assert mutable_cells(matrix_of(fc.condensed)) == set()
+
+    def test_from_grid_rejects_a_broken_run(self):
+        with pytest.raises(AssertionError, match="broken"):
+            FinalConfiguration.from_grid(Grid(3, (0b101, 0b101, 0b101)))
+        with pytest.raises(AssertionError, match="broken"):
+            FinalConfiguration.from_grid(Grid(2, (0b01, 0b00)))
+
+    def test_from_grid_rejects_a_non_square_tile(self):
+        for rows in [(0b11, 0b01), (0b01, 0b01), (0b011, 0b011, 0b011)]:
+            with pytest.raises(AssertionError, match="not square"):
+                FinalConfiguration.from_grid(Grid(len(rows), rows))
 
     def test_is_full(self):
         assert is_full((2, 1, 3))
@@ -228,6 +335,46 @@ def test_final_configuration_shape(n):
         assert rows_met == cols_met == set(range(1, n + 1))
         assert mutable_cells(matrix_of(fc.condensed)) == set()
         assert is_full(p) == is_full(reverse(p))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_worklist_matches_rescan_oracle_exhaustive(n):
+    for p in itertools.permutations(range(1, n + 1)):
+        g = matrix_of(p)
+        for policy, seed in [("first-scan", 0), ("random", 1), ("random", 7)]:
+            tr = percolate(g, policy, seed=seed)
+            assert (tr.steps, tr.final) == rescan_percolate(g, policy, seed)
+        assert final_configuration(p) == column_tiles(tr.final)
+
+
+@settings(deadline=None, max_examples=30)  # the oracle rescans every row per step
+@given(st.one_of(st.integers(8, 60).flatmap(lambda n: st.permutations(range(1, n + 1))),
+                 separable_perms(max_n=60)),
+       st.integers(0, 2**32 - 1))
+def test_worklist_matches_rescan_oracle(p, seed):
+    g = matrix_of(p)
+    first = percolate(g)
+    assert (first.steps, first.final) == rescan_percolate(g, "first-scan")
+    tr = percolate(g, "random", seed=seed)
+    assert (tr.steps, tr.final) == rescan_percolate(g, "random", seed)
+    replay = percolate(g, "scripted", script=tr.steps)
+    assert (replay.steps, replay.final) == (tr.steps, tr.final)
+    assert FinalConfiguration.from_grid(tr.final) == final_configuration(p)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_render_trace_matches_cell_rendering(n):
+    for p in itertools.permutations(range(1, n + 1)):
+        for tr in (percolate(matrix_of(p)), percolate(matrix_of(p), "random", seed=n)):
+            assert render_trace(tr) == rebuild_render(tr)
+
+
+def test_render_trace_identity_48_is_fast():
+    tr = percolate(matrix_of(range(1, 49)))
+    start = time.perf_counter()
+    text = render_trace(tr)
+    assert time.perf_counter() - start < 1.0
+    assert len(text) == (len(tr.steps) + 1) * (48 * 49 + 1) - 2
 
 
 def test_render_trace_frames():
