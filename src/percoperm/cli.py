@@ -2,12 +2,14 @@
 
 Single binary with subcommands; results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error.
+error.  An error in the input prints one ``Error: ...`` line on stderr
+(click's own option and argument errors keep click's format).
 """
 from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -16,13 +18,22 @@ from .perm import comps as perm_comps
 from .perm import format_permutation, parse_permutation
 
 SEQUENCE_MAX = 50
+# The verify checks take about 2 s at n = 9 (Python 3.11, one core); n = 10
+# walks 10! more permutations, about 16 s more.
+VERIFY_MAX_N = 9
+
+
+def _fail(message: str) -> NoReturn:
+    """Report an error in the input as one ``Error:`` line on stderr; exit 2."""
+    click.echo(f"Error: {message}", err=True)
+    sys.exit(2)
 
 
 def _parse_perm_arg(text: str):
     try:
         return parse_permutation(text)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        _fail(str(exc))
 
 
 def _parse_script(text: str) -> list[tuple[int, int]]:
@@ -32,7 +43,7 @@ def _parse_script(text: str) -> list[tuple[int, int]]:
         try:
             cells.append((int(row), int(col)))
         except ValueError:
-            raise click.UsageError(f"bad script token {tok!r}: expected row,col")
+            _fail(f"bad script token {tok!r}: expected row,col")
     return cells
 
 
@@ -61,14 +72,14 @@ def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: st
     cells = None
     if script is not None:
         if policy != "scripted":
-            raise click.UsageError("--script needs --policy scripted")
+            _fail("--script needs --policy scripted")
         cells = _parse_script(script)
     try:
         trace = percolation.percolate(
             percolation.matrix_of(p), policy, seed=seed, script=cells
         )
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        _fail(str(exc))
     if fmt == "json":
         config = percolation.FinalConfiguration.from_grid(trace.final)
         payload = {
@@ -133,19 +144,19 @@ def cmd_comps(perm: str, fmt: str) -> None:
 @click.argument("n", type=int)
 @click.option("--which", type=click.Choice(["full", "indec-full", "no-growth", "all"]),
               default="all", show_default=True)
-@click.option("--parallel", is_flag=True, help="Partitioned enumeration.")
+@click.option("--parallel", is_flag=True,
+              help="Split each size's one pass over the families across worker processes.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
               default="plain", show_default=True)
 def cmd_count(n: int, which: str, parallel: bool, fmt: str) -> None:
     """Count full / full-indecomposable / no-growth permutations for sizes 1..N."""
     if not 1 <= n <= counting.MAX_N:
-        raise click.UsageError(f"n must be in 1..{counting.MAX_N}")
+        _fail(f"n must be in 1..{counting.MAX_N}")
     if parallel:
         try:
             counting.max_workers()
         except ValueError as exc:
-            click.echo(f"Error: {exc}", err=True)
-            sys.exit(2)
+            _fail(str(exc))
     reports = [counting.count_report(k, which, parallel=parallel) for k in range(1, n + 1)]
     if fmt == "csv":
         click.echo(counting.CountReport.CSV_HEADER)
@@ -167,42 +178,64 @@ def cmd_count(n: int, which: str, parallel: bool, fmt: str) -> None:
 
 
 def _verify_checks(n: int):
-    p = {k: counting.count_full(k) for k in range(1, n + 1)}
-    q = {k: counting.count_full_indecomposable(k) for k in range(1, n + 1)}
-    a = {k: counting.count_no_growth(k) for k in range(1, n + 1)}
+    """(name, first size, check) triples for sizes up to n.
+
+    ``check(k)`` is None when size k passes, else both sides of the failed
+    comparison.  Each size 1..n is enumerated once, and every check reads
+    those counts.
+    """
+    p, q, a = {}, {}, {}
+    for k in range(1, n + 1):
+        r = counting.count_report(k, "all")
+        p[k], q[k], a[k] = r.p_n, r.q_n, r.a_n
     kings = series.a_via_series(n)
 
-    yield (
-        f"factorial-identity n=1..{n}",
-        all(lhs == rhs for lhs, rhs in map(counting.verify_factorial_identity, range(1, n + 1))),
-    )
-    yield (
-        f"half-lemma n=2..{n}",
-        all(2 * q[k] == p[k] for k in range(2, n + 1)),
-    )
-    yield (
-        f"schroeder-agreement n=1..{n}",
-        all(p[k] == series.schroeder_large(k - 1)
-            and q[k] == series.schroeder_little(k - 1) for k in range(1, n + 1)),
-    )
-    yield (
-        f"kings-four-way n=1..{n}",
-        all(a[k] == series.a_formula(k) == series.a_abramson_moser(k) == kings[k]
-            for k in range(1, n + 1)),
-    )
+    def factorial_identity(k):
+        lhs, rhs = counting._factorial_identity(k, p, a)
+        return None if lhs == rhs else f"n!={lhs} sum={rhs}"
+
+    def half_lemma(k):
+        return None if 2 * q[k] == p[k] else f"2*q={2 * q[k]} p={p[k]}"
+
+    def schroeder_agreement(k):
+        large, little = series.schroeder_large(k - 1), series.schroeder_little(k - 1)
+        if (p[k], q[k]) == (large, little):
+            return None
+        return f"p={p[k]} S_{k - 1}={large} q={q[k]} s_{k - 1}={little}"
+
+    def kings_four_way(k):
+        values = (a[k], series.a_formula(k), series.a_abramson_moser(k), kings[k])
+        if len(set(values)) == 1:
+            return None
+        return "a={} formula={} abramson-moser={} series={}".format(*values)
+
+    return [
+        ("factorial-identity", 1, factorial_identity),
+        ("half-lemma", 2, half_lemma),
+        ("schroeder-agreement", 1, schroeder_agreement),
+        ("kings-four-way", 1, kings_four_way),
+    ]
 
 
 @main.command("verify")
 @click.argument("n", type=int)
 def cmd_verify(n: int) -> None:
-    """Run the cross-validation suites up to size N and report PASS/FAIL."""
-    if not 1 <= n <= 9:
-        raise click.UsageError("n must be in 1..9")
+    """Run the cross-validation suites up to size N and report PASS/FAIL.
+
+    A failing check names its first failing size and both sides there.
+    """
+    if not 1 <= n <= VERIFY_MAX_N:
+        _fail(f"n must be in 1..{VERIFY_MAX_N}")
     failed = False
-    for label, ok in _verify_checks(n):
-        click.echo(f"{'PASS' if ok else 'FAIL'} {label}")
-        if not ok:
-            failed = True
+    for name, start, check in _verify_checks(n):
+        for k in range(start, n + 1):
+            detail = check(k)
+            if detail is not None:
+                click.echo(f"FAIL {name} n={k}: {detail}")
+                failed = True
+                break
+        else:
+            click.echo(f"PASS {name} n={start}..{n}")
     if failed:
         sys.exit(1)
 
@@ -215,7 +248,7 @@ def cmd_verify(n: int) -> None:
 def cmd_sequence(name: str, n: int, fmt: str) -> None:
     """Print terms of a named sequence up to index N."""
     if not 0 <= n <= SEQUENCE_MAX:
-        raise click.UsageError(f"N must be in 0..{SEQUENCE_MAX}")
+        _fail(f"N must be in 0..{SEQUENCE_MAX}")
     if name == "schroeder":
         header = f"# large Schroeder numbers S_0..S_{n}"
         values = [series.schroeder_large(k) for k in range(n + 1)]

@@ -10,6 +10,8 @@ spaces, e.g. "3 1 2 6 4 5 7 9 8".
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import eq
 from typing import Sequence
 
 Word = tuple[int, ...]
@@ -122,14 +124,10 @@ def is_indecomposable(w: Sequence[int]) -> bool:
     >>> is_indecomposable((4, 1, 3, 2, 6, 7, 5))
     False
     """
-    r = reduced(w)
-    n = len(r)
-    peak = 0
-    for i, v in enumerate(r[:-1], 1):
-        peak = max(peak, v)
-        if peak == i:
-            return False
-    return n >= 1
+    w = check_word(w)
+    # The prefix of length k reduces to {1..k} iff it holds the k smallest
+    # values, i.e. iff its running maximum is the k-th smallest value.
+    return not any(map(eq, accumulate(w[:-1], max), sorted(w)))
 
 
 def comps(p: Sequence[int]) -> list[Word]:

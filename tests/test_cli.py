@@ -1,9 +1,11 @@
+import itertools
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from percoperm import percolation
-from percoperm.cli import main
+from percoperm import counting, percolation, series
+from percoperm.cli import SEQUENCE_MAX, VERIFY_MAX_N, main
 
 
 def run(*args, env=None):
@@ -150,7 +152,7 @@ class TestCount:
 
     def test_invalid_n_exit_2(self):
         assert run("count", "0").exit_code == 2
-        assert run("count", "13").exit_code == 2
+        assert run("count", str(counting.MAX_N + 1)).exit_code == 2
 
     def test_non_integer_threads_exit_2(self):
         result = run("count", "7", "--parallel", env={"PERCOPERM_THREADS": "abc"})
@@ -173,7 +175,58 @@ class TestVerify:
 
     def test_invalid_n_exit_2(self):
         assert run("verify", "0").exit_code == 2
-        assert run("verify", "10").exit_code == 2
+        assert run("verify", str(VERIFY_MAX_N + 1)).exit_code == 2
+
+    @pytest.mark.parametrize("module, name, wrong_at, failures", [
+        (series, "schroeder_little", 6, {
+            2: "FAIL schroeder-agreement n=7: p=1806 S_6=1806 q=903 s_6=904"}),
+        (series, "a_formula", 5, {
+            3: "FAIL kings-four-way n=5: a=14 formula=15 abramson-moser=14 series=14"}),
+        (counting, "q_n", 6, {
+            1: "FAIL half-lemma n=6: 2*q=396 p=394",
+            2: "FAIL schroeder-agreement n=6: p=394 S_5=394 q=198 s_5=197"}),
+        (counting, "a_n", 4, {
+            0: "FAIL factorial-identity n=4: n!=24 sum=25",
+            3: "FAIL kings-four-way n=4: a=3 formula=2 abramson-moser=2 series=2"}),
+    ], ids=["schroeder_little", "a_formula", "q_n", "a_n"])
+    def test_failure_names_first_failing_n(self, monkeypatch, module, name, wrong_at, failures):
+        # One value is made one too large at one size; each check that reads it
+        # must name that size and print both sides.
+        if module is series:
+            real = getattr(series, name)
+            monkeypatch.setattr(series, name, lambda k: real(k) + (k == wrong_at))
+        else:
+            real_report = counting.count_report
+
+            def wrong_report(n, *args, **kwargs):
+                r = real_report(n, *args, **kwargs)
+                if n == wrong_at:
+                    setattr(r, name, getattr(r, name) + 1)
+                return r
+
+            monkeypatch.setattr(counting, "count_report", wrong_report)
+        result = run("verify", "7")
+        assert result.exit_code == 1
+        passing = [
+            "PASS factorial-identity n=1..7",
+            "PASS half-lemma n=2..7",
+            "PASS schroeder-agreement n=1..7",
+            "PASS kings-four-way n=1..7",
+        ]
+        assert result.output.splitlines() == [failures.get(i, line) for i, line in enumerate(passing)]
+
+    def test_enumerates_each_size_once(self, monkeypatch):
+        sizes = []
+        permutations = itertools.permutations
+
+        def counted(values, *args):
+            values = tuple(values)
+            sizes.append(len(values))
+            return permutations(values, *args)
+
+        monkeypatch.setattr(counting.itertools, "permutations", counted)
+        assert run("verify", "5").exit_code == 0
+        assert sorted(sizes) == [1, 2, 3, 4, 5]
 
 
 class TestSequence:
@@ -203,3 +256,31 @@ class TestSequence:
 
     def test_unknown_name_exit_2(self):
         assert run("sequence", "fibonacci", "5").exit_code == 2
+
+
+ERROR_CASES = [
+    (("percolate", "2 2 1"), None),
+    (("bracket", ""), None),
+    (("comps", "1 3"), None),
+    (("percolate", "213", "--policy", "scripted", "--script", "1,2,3"), None),
+    (("percolate", "213", "--script", "2,2"), None),
+    (("percolate", "213", "--policy", "scripted", "--script", "1,1"), None),
+    (("percolate", "213", "--policy", "scripted"), None),
+    (("count", "0"), None),
+    (("count", str(counting.MAX_N + 1)), None),
+    (("count", "7", "--parallel"), {"PERCOPERM_THREADS": "abc"}),
+    (("verify", "0"), None),
+    (("verify", str(VERIFY_MAX_N + 1)), None),
+    (("sequence", "kings", str(SEQUENCE_MAX + 1)), None),
+]
+
+
+@pytest.mark.parametrize("args, env", ERROR_CASES, ids=[" ".join(args) for args, _ in ERROR_CASES])
+def test_error_is_one_stderr_line(args, env):
+    result = run(*args, env=env)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert "Traceback" not in result.output

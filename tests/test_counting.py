@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from percoperm import counting
 from percoperm.counting import (
+    FACTORIAL_IDENTITY_MAX_N,
+    MAX_N,
     CountReport,
     count_full,
     count_full_indecomposable,
@@ -14,6 +17,7 @@ from percoperm.counting import (
     _is_no_growth,
 )
 from percoperm.percolation import is_full, matrix_of, mutable_cells
+from percoperm.perm import is_indecomposable
 
 
 class TestEnumerate:
@@ -39,17 +43,11 @@ class TestEnumerate:
         enumerate_permutations(4, bump)
         assert count == 24
 
-    def test_parallel_exactly_once(self):
-        seen = set()
-        lock_free = seen.add  # set.add is atomic under the GIL
-        enumerate_permutations(5, lock_free, parallel=True)
-        assert len(seen) == 120
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_permutations(0, lambda p: None)
         with pytest.raises(ValueError):
-            enumerate_permutations(13, lambda p: None)
+            enumerate_permutations(MAX_N + 1, lambda p: None)
 
 
 class TestCounts:
@@ -81,6 +79,45 @@ class TestCounts:
     def test_parallel_agrees_with_serial(self, n):
         assert count_full(n, parallel=True) == count_full(n)
         assert count_no_growth(n, parallel=True) == count_no_growth(n)
+        assert count_full_indecomposable(n, parallel=True) == count_full_indecomposable(n)
+        serial = count_report(n, "all")
+        parallel = count_report(n, "all", parallel=True)
+        assert (parallel.p_n, parallel.q_n, parallel.a_n) == (serial.p_n, serial.q_n, serial.a_n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_report_matches_cell_level_definitions(self, n):
+        full = full_indec = no_growth = 0
+        for p in itertools.permutations(range(1, n + 1)):
+            if is_full(p):
+                full += 1
+                full_indec += is_indecomposable(p)
+            no_growth += not mutable_cells(matrix_of(p))
+        r = count_report(n, "all")
+        assert (r.p_n, r.q_n, r.a_n) == (full, full_indec, no_growth)
+
+    def test_process_workers_capped_at_job_count(self, monkeypatch):
+        recorded = []
+
+        class InlineExecutor:
+            """Runs the jobs in this process and records the worker count asked for."""
+
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setenv("PERCOPERM_THREADS", "64")
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", InlineExecutor)
+        r = count_report(7, "all", parallel=True)
+        assert recorded == [7]
+        assert (r.p_n, r.q_n, r.a_n) == (1806, 903, 646)
 
 
 def test_recursion_for_full_counts():
@@ -106,7 +143,7 @@ class TestFactorialIdentity:
         with pytest.raises(ValueError):
             verify_factorial_identity(0)
         with pytest.raises(ValueError):
-            verify_factorial_identity(11)
+            verify_factorial_identity(FACTORIAL_IDENTITY_MAX_N + 1)
 
 
 class TestCountReport:

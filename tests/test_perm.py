@@ -93,6 +93,15 @@ class TestIndecomposable:
     def test_single(self):
         assert is_indecomposable((1,))
 
+    @given(words)
+    def test_matches_reduced_definition(self, w):
+        assert is_indecomposable(w) == (len(comps(reduced(w))) == 1)
+
+    def test_matches_comps_exhaustive(self):
+        for n in range(1, 8):
+            for p in itertools.permutations(range(1, n + 1)):
+                assert is_indecomposable(p) == (len(comps(p)) == 1)
+
 
 class TestComps:
     def test_examples(self):
