@@ -29,10 +29,16 @@ MAX_N = 12
 # verify_factorial_identity(10) brute-forces sizes 1..10 in about 18 s
 # (same machine); n = 11 would take about 11 times as long.
 FACTORIAL_IDENTITY_MAX_N = 10
+# Below this size a parallel pass does not repay starting the worker
+# processes: count_report(n, "all") with PERCOPERM_THREADS=2 on 2 vCPUs
+# (median of 5 runs) takes 27.3-27.5 ms serial against 31.4-34.1 ms
+# parallel at n = 7, and 192-196 ms against 132-140 ms at n = 8.
+PARALLEL_MIN_N = 8
 
 __all__ = [
     "MAX_N",
     "FACTORIAL_IDENTITY_MAX_N",
+    "PARALLEL_MIN_N",
     "CountReport",
     "enumerate_permutations",
     "count_full",
@@ -139,10 +145,10 @@ def _tally(n: int, want: tuple[bool, bool, bool], parallel: bool = False) -> tup
     """One pass over S_n counting (p, q, a) as ``_walk`` does.
 
     Parallel mode maps ``_walk`` over the first values in worker processes,
-    never more workers than jobs; n <= 6 is too small to repay starting them.
+    never more workers than jobs; sizes below ``PARALLEL_MIN_N`` stay serial.
     """
     _check_n(n)
-    if not parallel or n <= 6:
+    if not parallel or n < PARALLEL_MIN_N:
         return _walk(n, None, want)
     with ProcessPoolExecutor(max_workers=min(max_workers(), n)) as pool:
         parts = list(pool.map(_walk, [n] * n, range(1, n + 1), [want] * n))

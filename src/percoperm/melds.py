@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .perm import Word, check_permutation
-from .percolation import FinalConfiguration, Tile
 
 __all__ = [
     "Kind",
@@ -88,18 +87,14 @@ class Meld(NamedTuple):
 
 @dataclass(frozen=True)
 class MergeOutcome:
+    """Final melds, left to right; each one's ``lo..hi`` and ``start..end`` are its tile."""
+
     melds: tuple[Meld, ...]
     full: bool
-    tiles: FinalConfiguration
 
 
 def _mergeable(a: Meld, b: Meld) -> bool:
     return a.hi + 1 == b.lo or b.hi + 1 == a.lo
-
-
-def _outcome(melds: Sequence[Meld], n: int) -> MergeOutcome:
-    tiles = FinalConfiguration.from_tiles(Tile(n - m.hi + 1, m.start, m.hi - m.lo + 1) for m in melds)
-    return MergeOutcome(tuple(melds), len(melds) == 1, tiles)
 
 
 def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
@@ -116,23 +111,19 @@ def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
     if direction not in ("left", "right"):
         raise ValueError(f"unknown direction {direction!r}")
     leaf, merge = Meld.leaf, Meld.merge
+    left = direction == "left"
+    # From the right end the new meld is the left child, and the stack
+    # holds the melds right to left.
+    positions = range(1, len(p) + 1) if left else range(len(p), 0, -1)
     stack: list[Meld] = []
-    if direction == "left":
-        for pos, v in enumerate(p, 1):
-            node = leaf(v, pos)
-            while stack and _mergeable(stack[-1], node):
-                node = merge(stack.pop(), node)
-            stack.append(node)
-    else:
-        # From the right end the new meld is the left child, and the
-        # stack holds the melds right to left.
-        for pos in range(len(p), 0, -1):
-            node = leaf(p[pos - 1], pos)
-            while stack and _mergeable(node, stack[-1]):
-                node = merge(node, stack.pop())
-            stack.append(node)
+    for pos in positions:
+        node = leaf(p[pos - 1], pos)
+        while stack and _mergeable(stack[-1], node):
+            node = merge(stack.pop(), node) if left else merge(node, stack.pop())
+        stack.append(node)
+    if not left:
         stack.reverse()
-    return _outcome(stack, len(p))
+    return MergeOutcome(tuple(stack), len(stack) == 1)
 
 
 def merge_eager(p: Sequence[int]) -> MergeOutcome:
@@ -158,7 +149,7 @@ def merge_eager(p: Sequence[int]) -> MergeOutcome:
             i += 1
         if not merged_any:
             break
-    return _outcome(melds, len(p))
+    return MergeOutcome(tuple(melds), len(melds) == 1)
 
 
 def serialize_meld(m: Meld) -> str:
@@ -184,7 +175,7 @@ _CLOSER = {"(": ")", "[": "]"}
 _KIND_OF_CLOSER = {")": Kind.ROUND, "]": Kind.SQUARE}
 
 
-def parse_meld(text: str, _start: int = 1) -> Meld:
+def parse_meld(text: str) -> Meld:
     """Inverse of serialize_meld (used for round-tripping).
 
     One left-to-right walk over the string.  Each open bracket pushes a
@@ -195,7 +186,7 @@ def parse_meld(text: str, _start: int = 1) -> Meld:
     text = text.strip()
     n = len(text)
     i = 0
-    pos = _start
+    pos = 1
     frames: list[list] = []
     while True:
         while i < n and text[i] in _CLOSER:

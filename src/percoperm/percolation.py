@@ -51,19 +51,10 @@ class Grid:
         return (self.rows[row - 1] >> (col - 1)) & 1
 
     def ones(self) -> set[Cell]:
-        out = set()
-        for i, bits in enumerate(self.rows, 1):
-            while bits:
-                low = bits & -bits
-                out.add((i, low.bit_length()))
-                bits ^= low
-        return out
+        return set(_cells_of_rows(self.rows))
 
     def count_ones(self) -> int:
         return sum(bits.bit_count() for bits in self.rows)
-
-    def render(self) -> str:
-        return "\n".join(_render_row(bits, self.n) for bits in self.rows)
 
 
 def _render_row(bits: int, n: int) -> str:

@@ -7,6 +7,7 @@ from percoperm import counting
 from percoperm.counting import (
     FACTORIAL_IDENTITY_MAX_N,
     MAX_N,
+    PARALLEL_MIN_N,
     CountReport,
     count_full,
     count_full_indecomposable,
@@ -95,7 +96,9 @@ class TestCounts:
         r = count_report(n, "all")
         assert (r.p_n, r.q_n, r.a_n) == (full, full_indec, no_growth)
 
-    def test_process_workers_capped_at_job_count(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts asked of an inline executor standing in for the process pool."""
         recorded = []
 
         class InlineExecutor:
@@ -115,8 +118,16 @@ class TestCounts:
 
         monkeypatch.setenv("PERCOPERM_THREADS", "64")
         monkeypatch.setattr(counting, "ProcessPoolExecutor", InlineExecutor)
-        r = count_report(7, "all", parallel=True)
-        assert recorded == [7]
+        return recorded
+
+    def test_process_workers_capped_at_job_count(self, pools):
+        r = count_report(PARALLEL_MIN_N, "all", parallel=True)
+        assert pools == [PARALLEL_MIN_N]
+        assert (r.p_n, r.q_n, r.a_n) == (8558, 4279, 5242)
+
+    def test_no_pool_below_parallel_min_n(self, pools):
+        r = count_report(PARALLEL_MIN_N - 1, "all", parallel=True)
+        assert pools == []
         assert (r.p_n, r.q_n, r.a_n) == (1806, 903, 646)
 
 

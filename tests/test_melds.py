@@ -18,7 +18,8 @@ from percoperm.melds import (
     serialize_meld,
     top_level_kind,
 )
-from percoperm.percolation import FinalConfiguration, Tile, final_configuration
+from percoperm import percolation
+from percoperm.percolation import final_configuration
 from percoperm.perm import comps, is_indecomposable, reverse
 
 
@@ -49,9 +50,6 @@ def assert_matches_restart_scan(p, direction):
     out = merge_run(p, direction)
     assert list(out.melds) == expected
     assert [serialize_meld(m) for m in out.melds] == [serialize_meld(m) for m in expected]
-    n = len(p)
-    tiles = [Tile(n - m.hi + 1, m.start, m.hi - m.lo + 1) for m in expected]
-    assert out.tiles == FinalConfiguration.from_tiles(tiles)
     assert out.full == (len(expected) == 1)
 
 
@@ -93,6 +91,21 @@ class TestEager:
     def test_21(self):
         assert serialize_meld(merge_eager((2, 1)).melds[0]) == "[2 1]"
         assert serialize_meld(merge_run((2, 1), "left").melds[0]) == "[2 1]"
+
+
+def test_merging_builds_no_grid_tiles(monkeypatch):
+    def refuse(cls, tiles):
+        raise AssertionError("merging must not build a FinalConfiguration")
+
+    monkeypatch.setattr(percolation.FinalConfiguration, "from_tiles", classmethod(refuse))
+    p = (6, 4, 5, 3, 9, 10, 2, 1, 8, 7)  # four tiles on the no-growth skeleton 2413
+    for direction in ("left", "right"):
+        out = merge_run(p, direction)
+        assert list(out.melds) == restart_scan_merge(p, direction)
+        assert not out.full
+    eager = merge_eager(p)
+    assert [serialize_meld(m) for m in eager.melds] == ["[6 [(4 5) 3]]", "(9 10)", "[2 1]", "[8 7]"]
+    assert not eager.full
 
 
 class TestParseMeld:
@@ -205,9 +218,10 @@ def test_structural_suite(n):
             assert tuple(sorted(m.word())) == tuple(range(m.lo, m.hi + 1))
         assert all(right_child_property_holds(m) for m in left.melds)
         assert all(left_child_property_holds(m) for m in right.melds)
-        # grid agreement with cell-level percolation
-        assert left.tiles == final_configuration(p)
-        assert right.tiles == final_configuration(p)
+        # each final meld is a final tile of cell-level percolation, in order
+        tiles = [(t.row, t.col, t.size) for t in final_configuration(p).tiles]
+        for out in (left, right):
+            assert [(n - m.hi + 1, m.start, m.hi - m.lo + 1) for m in out.melds] == tiles
         if left.full and n >= 2:
             kind = left.melds[0].kind
             assert (kind is Kind.SQUARE) == is_indecomposable(p)
