@@ -47,7 +47,6 @@ from .counting import (
     count_full,
     count_full_indecomposable,
     count_no_growth,
-    enumerate_permutations,
     verify_factorial_identity,
 )
 from .series import (

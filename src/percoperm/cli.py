@@ -18,9 +18,9 @@ from .perm import comps as perm_comps
 from .perm import format_permutation, parse_permutation
 
 SEQUENCE_MAX = 50
-# The verify checks take about 2 s at n = 9 (Python 3.11, one core); n = 10
-# walks 10! more permutations, about 16 s more.
-VERIFY_MAX_N = 9
+# The verify checks take about 6 s at n = 10 (Python 3.11, one core); n = 11
+# walks 11 times as many permutations, about a minute.
+VERIFY_MAX_N = 10
 
 
 def _fail(message: str) -> NoReturn:
@@ -145,7 +145,7 @@ def cmd_comps(perm: str, fmt: str) -> None:
 @click.option("--which", type=click.Choice(["full", "indec-full", "no-growth", "all"]),
               default="all", show_default=True)
 @click.option("--parallel", is_flag=True,
-              help="Split each size's one pass over the families across worker processes.")
+              help="Split each size's walk by (first, last) values across worker processes.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
               default="plain", show_default=True)
 def cmd_count(n: int, which: str, parallel: bool, fmt: str) -> None:
@@ -157,7 +157,7 @@ def cmd_count(n: int, which: str, parallel: bool, fmt: str) -> None:
             counting.max_workers()
         except ValueError as exc:
             _fail(str(exc))
-    reports = [counting.count_report(k, which, parallel=parallel) for k in range(1, n + 1)]
+    reports = counting.count_table(n, which, parallel=parallel)
     if fmt == "csv":
         click.echo(counting.CountReport.CSV_HEADER)
         for r in reports:
@@ -185,9 +185,8 @@ def _verify_checks(n: int):
     those counts.
     """
     p, q, a = {}, {}, {}
-    for k in range(1, n + 1):
-        r = counting.count_report(k, "all")
-        p[k], q[k], a[k] = r.p_n, r.q_n, r.a_n
+    for r in counting.count_table(n, "all"):
+        p[r.n], q[r.n], a[r.n] = r.p_n, r.q_n, r.a_n
     kings = series.a_via_series(n)
 
     def factorial_identity(k):

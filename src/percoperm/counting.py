@@ -1,38 +1,60 @@
 """Brute-force counts over the symmetric group.
 
 Counts of full, full-indecomposable, and no-growth permutations, plus the
-factorial identity that cross-checks them.  One pass over S_n tallies every
-family asked for, with O(n) predicates (interval merging for fullness,
-adjacent-value differences for no-growth); their agreement with the
-cell-level definitions is property-tested elsewhere.
+factorial identity that cross-checks them.  One walk over the symmetry
+classes of S_n tallies every family asked for, with O(n) predicates
+(interval merging for fullness, adjacent-value differences for no-growth);
+their agreement with the cell-level definitions is property-tested
+elsewhere.
+
+The walk visits one or two permutations per orbit of the group {id,
+reverse r, complement c, reverse-complement rc}.  For n >= 2:
+
+- r and c fix no permutation (w_1 = w_n, or every w_i = (n+1)/2), so an
+  orbit has 4 elements, or 2 when rc fixes w.
+- w with first value f and last value l maps to (l, f) under r,
+  (n+1-f, n+1-l) under c and (n+1-l, n+1-f) under rc.  As f != l, just
+  two images have first < last, w and rc(w) or r(w) and c(w), and their
+  sums f + l add up to 2n + 2.  So each orbit has one image with f < l
+  and f + l < n + 1, visited with weight 4, or two images with f < l and
+  f + l = n + 1 (one when rc(w) = w), each visited with weight 2.
+- The cell rule treats the four sides of the square alike, so fullness
+  and no-growth are constant on an orbit.  Indecomposability is kept by
+  rc, which maps the direct sum of a and b to that of rc(b) and rc(a),
+  but not by r.  As c(w) = rc(r(w)), the orbit of w holds weight/2 *
+  (indecomposable(w) + indecomposable(r(w))) indecomposables per visit:
+  q reads both w and its reversal and never assumes the half lemma.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .melds import quick_is_full
 from .perm import is_indecomposable
 from .series import compositions
 
-# The cost is the n! permutations walked.  One serial pass over all three
-# families takes about 4.5 us a permutation (count_report(10, "all"): 16.5 s,
-# Python 3.11 on one core), so the 12! ~ 4.8e8 of n = 12 take about 40 min.
+# The cost is the n! permutations, walked as about n!/4 orbit representatives.
+# One serial walk over all three families takes about 1.6 us a permutation
+# of S_n (count_report(10, "all"): 5.9 s, Python 3.11 on one core), so the
+# 12! ~ 4.8e8 of n = 12 take about 13 min; count 11 --which all --parallel
+# takes 36 s on 2 vCPUs.
 MAX_N = 12
-# verify_factorial_identity(10) brute-forces sizes 1..10 in about 18 s
+# verify_factorial_identity(10) brute-forces sizes 1..10 in about 5.6 s
 # (same machine); n = 11 would take about 11 times as long.
 FACTORIAL_IDENTITY_MAX_N = 10
 # Below this size a parallel pass does not repay starting the worker
-# processes: count_report(n, "all") with PERCOPERM_THREADS=2 on 2 vCPUs
-# (median of 5 runs) takes 27.3-27.5 ms serial against 31.4-34.1 ms
-# parallel at n = 7, and 192-196 ms against 132-140 ms at n = 8.
+# processes: one size's walk over all families, PERCOPERM_THREADS=2 on 2
+# vCPUs (medians of 5 runs, three rounds), takes 10.2-10.7 ms serial against
+# 21.3-26.2 ms on its own pool at n = 7, and 59-73 ms against 57-69 ms at n = 8,
+# or 39-48 ms on a pool already started by count_table.  count_table(9,
+# "all", parallel=True) takes 390 ms with this cut-off and 416 ms at 9.
 PARALLEL_MIN_N = 8
 
 __all__ = [
@@ -40,7 +62,7 @@ __all__ = [
     "FACTORIAL_IDENTITY_MAX_N",
     "PARALLEL_MIN_N",
     "CountReport",
-    "enumerate_permutations",
+    "count_table",
     "count_full",
     "count_full_indecomposable",
     "count_no_growth",
@@ -75,9 +97,6 @@ class CountReport:
             "elapsed_ms": round(self.elapsed_ms, 1),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def max_workers() -> int:
     """Worker cap: PERCOPERM_THREADS if set, else the machine parallelism."""
@@ -95,13 +114,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
 
 
-def enumerate_permutations(n: int, visitor: Callable[[tuple[int, ...]], None]) -> None:
-    """Call ``visitor`` on every permutation of {1..n} once, in lexicographic order."""
-    _check_n(n)
-    for p in itertools.permutations(range(1, n + 1)):
-        visitor(p)
-
-
 def _is_no_growth(p: Sequence[int]) -> bool:
     # Kings in adjacent columns must sit >= 2 rows apart; diagonal adjacency
     # is the only possible attack between distinct rows and columns.
@@ -117,57 +129,65 @@ _FAMILIES = {
 }
 
 
-def _walk(n: int, first: int | None, want: tuple[bool, bool, bool]) -> tuple[int, int, int]:
-    """(p, q, a) over S_n, or over the permutations starting with ``first``.
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The (first, last) values of the orbit representatives: f < l, f + l <= n + 1."""
+    return [(first, last) for first in range(1, n + 1) for last in range(first + 1, n + 2 - first)]
+
+
+def _walk(n: int, pair: tuple[int, int], want: tuple[bool, bool, bool]) -> tuple[int, int, int]:
+    """Weighted (p, q, a) of the orbits whose representatives start and end with ``pair``.
 
     Families not in ``want`` read 0, except p, which is counted whenever q
     is: q is tested only on full permutations.
     """
-    if first is None:
-        perms = itertools.permutations(range(1, n + 1))
-    else:
-        rest = [v for v in range(1, n + 1) if v != first]
-        perms = ((first,) + tail for tail in itertools.permutations(rest))
+    first, last = pair
+    rest = [v for v in range(1, n + 1) if v != first and v != last]
     want_p, want_q, want_a = want
-    full = quick_is_full
+    full, indecomposable = quick_is_full, is_indecomposable
     p = q = a = 0
-    for w in perms:
+    for mid in itertools.permutations(rest):
+        w = (first, *mid, last)
         if want_a and _is_no_growth(w):
             a += 1
         if (want_p or want_q) and full(w):
             p += 1
-            if want_q and is_indecomposable(w):
-                q += 1
-    return p, q, a
+            if want_q:
+                q += indecomposable(w) + indecomposable(w[::-1])
+    weight = 4 if first + last < n + 1 else 2
+    return weight * p, weight // 2 * q, weight * a
 
 
-def _tally(n: int, want: tuple[bool, bool, bool], parallel: bool = False) -> tuple[int, int, int]:
-    """One pass over S_n counting (p, q, a) as ``_walk`` does.
+def _tally(n: int, want: tuple[bool, bool, bool], pool=None) -> tuple[int, int, int]:
+    """(p, q, a) of S_n as ``_walk`` counts them, summed over the (first, last) pairs.
 
-    Parallel mode maps ``_walk`` over the first values in worker processes,
-    never more workers than jobs; sizes below ``PARALLEL_MIN_N`` stay serial.
+    ``pool``, an executor, maps the pairs over its workers; without one the
+    pairs are walked in turn.
     """
     _check_n(n)
-    if not parallel or n < PARALLEL_MIN_N:
-        return _walk(n, None, want)
-    with ProcessPoolExecutor(max_workers=min(max_workers(), n)) as pool:
-        parts = list(pool.map(_walk, [n] * n, range(1, n + 1), [want] * n))
+    if n == 1:  # (1,) is its own orbit and has no pair f < l
+        w = (1,)
+        want_p, want_q, want_a = want
+        p = (want_p or want_q) and quick_is_full(w)
+        q = want_q and p and is_indecomposable(w)
+        return int(p), int(q), int(want_a and _is_no_growth(w))
+    pairs = _pairs(n)
+    parts = (pool.map if pool else map)(_walk, [n] * len(pairs), pairs, [want] * len(pairs))
     return tuple(sum(column) for column in zip(*parts))
 
 
-def count_full(n: int, *, parallel: bool = False) -> int:
+def count_full(n: int) -> int:
     """Number of permutations of {1..n} whose matrix fills up completely."""
-    return _tally(n, _FAMILIES["full"], parallel)[0]
+    return count_report(n, "full").p_n
 
 
-def count_full_indecomposable(n: int, *, parallel: bool = False) -> int:
+def count_full_indecomposable(n: int) -> int:
     """Number of permutations that are both full and indecomposable."""
-    return _tally(n, _FAMILIES["indec-full"], parallel)[1]
+    return count_report(n, "indec-full").q_n
 
 
-def count_no_growth(n: int, *, parallel: bool = False) -> int:
+def count_no_growth(n: int) -> int:
     """Number of permutations whose matrix has no mutable cell at all."""
-    return _tally(n, _FAMILIES["no-growth"], parallel)[2]
+    return count_report(n, "no-growth").a_n
 
 
 def _factorial_identity(n: int, p, a) -> tuple[int, int]:
@@ -199,13 +219,30 @@ def verify_factorial_identity(n: int) -> tuple[int, int]:
     return _factorial_identity(n, p, a)
 
 
-def count_report(n: int, which: str = "all", *, parallel: bool = False) -> CountReport:
-    """CountReport for one size; ``which`` selects the families computed."""
+def _report(n: int, which: str, pool) -> CountReport:
     if which not in _FAMILIES:
         raise ValueError(f"unknown family {which!r}")
     start = time.perf_counter()
     want = _FAMILIES[which]
-    counts = _tally(n, want, parallel)
+    counts = _tally(n, want, pool)
     report = CountReport(n, *(c if wanted else None for c, wanted in zip(counts, want)))
     report.elapsed_ms = (time.perf_counter() - start) * 1e3
     return report
+
+
+def count_report(n: int, which: str = "all") -> CountReport:
+    """CountReport for one size; ``which`` selects the families computed."""
+    return _report(n, which, None)
+
+
+def count_table(n: int, which: str = "all", *, parallel: bool = False) -> list[CountReport]:
+    """CountReports for the sizes 1..n.
+
+    With ``parallel``, the sizes PARALLEL_MIN_N..n share one process pool,
+    which never has more workers than size n has (first, last) pairs.
+    """
+    _check_n(n)
+    if not parallel or n < PARALLEL_MIN_N:
+        return [_report(k, which, None) for k in range(1, n + 1)]
+    with ProcessPoolExecutor(max_workers=min(max_workers(), len(_pairs(n)))) as pool:
+        return [_report(k, which, pool if k >= PARALLEL_MIN_N else None) for k in range(1, n + 1)]

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 
@@ -13,42 +12,61 @@ from percoperm.counting import (
     count_full_indecomposable,
     count_no_growth,
     count_report,
-    enumerate_permutations,
+    count_table,
     verify_factorial_identity,
     _is_no_growth,
 )
+from percoperm.melds import quick_is_full
 from percoperm.percolation import is_full, matrix_of, mutable_cells
 from percoperm.perm import is_indecomposable
 
 
-class TestEnumerate:
-    def test_lexicographic_s3(self):
-        seen = []
-        enumerate_permutations(3, seen.append)
-        assert seen == [
-            (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-        ]
+def full_walk(n, want):
+    """(p, q, a) over all of S_n, one permutation at a time: the orbit walk's oracle.
 
-    def test_n1(self):
-        seen = []
-        enumerate_permutations(1, seen.append)
-        assert seen == [(1,)]
+    Families not in ``want`` read 0, except p, which is counted whenever q
+    is.
+    """
+    want_p, want_q, want_a = want
+    p = q = a = 0
+    for w in itertools.permutations(range(1, n + 1)):
+        if want_a and _is_no_growth(w):
+            a += 1
+        if (want_p or want_q) and quick_is_full(w):
+            p += 1
+            if want_q and is_indecomposable(w):
+                q += 1
+    return p, q, a
 
-    def test_count_s4(self):
-        count = 0
 
-        def bump(_p):
-            nonlocal count
-            count += 1
+def reverse(w):
+    return w[::-1]
 
-        enumerate_permutations(4, bump)
-        assert count == 24
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            enumerate_permutations(0, lambda p: None)
-        with pytest.raises(ValueError):
-            enumerate_permutations(MAX_N + 1, lambda p: None)
+def complement(w):
+    return tuple(len(w) + 1 - v for v in w)
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("family", sorted(counting._FAMILIES))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_full_walk(self, n, family):
+        want = counting._FAMILIES[family]
+        assert counting._tally(n, want) == full_walk(n, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_predicates_constant_on_orbits(self, n):
+        for w in itertools.permutations(range(1, n + 1)):
+            for image in (reverse(w), complement(w)):
+                assert quick_is_full(image) == quick_is_full(w)
+                assert _is_no_growth(image) == _is_no_growth(w)
+            assert is_indecomposable(reverse(complement(w))) == is_indecomposable(w)
+
+    def test_pairs(self):
+        for n in range(1, MAX_N + 1):
+            pairs = counting._pairs(n)
+            assert len(set(pairs)) == len(pairs) == n * n // 4
+            assert all(1 <= first < last and first + last <= n + 1 for first, last in pairs)
 
 
 class TestCounts:
@@ -76,14 +94,15 @@ class TestCounts:
             for p in itertools.permutations(range(1, n + 1)):
                 assert _is_no_growth(p) == (not mutable_cells(matrix_of(p)))
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [PARALLEL_MIN_N, PARALLEL_MIN_N + 1])
     def test_parallel_agrees_with_serial(self, n):
-        assert count_full(n, parallel=True) == count_full(n)
-        assert count_no_growth(n, parallel=True) == count_no_growth(n)
-        assert count_full_indecomposable(n, parallel=True) == count_full_indecomposable(n)
-        serial = count_report(n, "all")
-        parallel = count_report(n, "all", parallel=True)
-        assert (parallel.p_n, parallel.q_n, parallel.a_n) == (serial.p_n, serial.q_n, serial.a_n)
+        serial = count_table(n, "all")
+        for family, want in counting._FAMILIES.items():
+            parallel = count_table(n, family, parallel=True)
+            assert [(r.p_n, r.q_n, r.a_n) for r in parallel] == [
+                tuple(c if wanted else None for c, wanted in zip((r.p_n, r.q_n, r.a_n), want))
+                for r in serial
+            ]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_report_matches_cell_level_definitions(self, n):
@@ -121,12 +140,20 @@ class TestCounts:
         return recorded
 
     def test_process_workers_capped_at_job_count(self, pools):
-        r = count_report(PARALLEL_MIN_N, "all", parallel=True)
-        assert pools == [PARALLEL_MIN_N]
+        # The jobs are the (first, last) pairs f < l with f + l <= n + 1.
+        r = count_table(PARALLEL_MIN_N, "all", parallel=True)[-1]
+        assert pools == [PARALLEL_MIN_N ** 2 // 4]
         assert (r.p_n, r.q_n, r.a_n) == (8558, 4279, 5242)
 
+    def test_table_starts_one_pool(self, pools):
+        reports = count_table(9, "all", parallel=True)
+        assert pools == [9 ** 2 // 4]
+        assert [(r.n, r.p_n, r.q_n, r.a_n) for r in reports[-2:]] == [
+            (8, 8558, 4279, 5242), (9, 41586, 20793, 47622),
+        ]
+
     def test_no_pool_below_parallel_min_n(self, pools):
-        r = count_report(PARALLEL_MIN_N - 1, "all", parallel=True)
+        r = count_table(PARALLEL_MIN_N - 1, "all", parallel=True)[-1]
         assert pools == []
         assert (r.p_n, r.q_n, r.a_n) == (1806, 903, 646)
 
@@ -165,7 +192,7 @@ class TestCountReport:
 
     def test_json(self):
         r = CountReport(4, 22, 11, 2, 3.14)
-        assert json.loads(r.to_json()) == {
+        assert r.to_json_obj() == {
             "n": 4, "p_n": 22, "q_n": 11, "a_n": 2, "elapsed_ms": 3.1,
         }
 
@@ -176,3 +203,10 @@ class TestCountReport:
         assert (r.p_n, r.q_n, r.a_n) == (22, 11, 2)
         with pytest.raises(ValueError):
             count_report(4, "bogus")
+
+    def test_rejects_out_of_range(self):
+        for n in (0, MAX_N + 1):
+            with pytest.raises(ValueError):
+                count_report(n)
+            with pytest.raises(ValueError):
+                count_table(n)
