@@ -11,7 +11,6 @@ from .perm import (
     comps,
     format_permutation,
     is_indecomposable,
-    last_comp,
     parse_permutation,
     reduced,
     reverse,

@@ -15,8 +15,11 @@ import click
 
 from . import counting, melds, percolation, series
 from .perm import comps as perm_comps
-from .perm import format_permutation, parse_permutation
+from .perm import parse_permutation
 
+# `sequence kings N` evaluates the exact Fraction sums of a_formula(k) for
+# every k <= N, about N^3 work in all: 0.1 s at N = 50, 0.7 s at N = 100 and
+# 6 s at N = 200 (Python 3.11, one core).  50 keeps every sequence near 0.1 s.
 SEQUENCE_MAX = 50
 # The verify checks take about 6 s at n = 10 (Python 3.11, one core); n = 11
 # walks 11 times as many permutations, about a minute.
@@ -30,6 +33,9 @@ def _fail(message: str) -> NoReturn:
 
 
 def _parse_perm_arg(text: str):
+    """Parse PERM; ``-`` reads it from stdin, past the kernel's argv size cap."""
+    if text == "-":
+        text = click.get_text_stream("stdin").read()
     try:
         return parse_permutation(text)
     except ValueError as exc:

@@ -42,6 +42,11 @@ class Meld(NamedTuple):
     span; both are contiguous by construction.  A meld is immutable.
     Trees can be as deep as the permutation is long, so nothing here
     walks them recursively.
+
+    Equality, hashing and ``repr`` are tuple's, which recurse in C:
+    comparing two distinct trees of n = 10^5 values raises RecursionError.
+    Nothing in the package compares trees; compare ``serialize_meld``
+    strings or ``word()`` instead.
     """
 
     lo: int

@@ -47,14 +47,8 @@ class Grid:
     n: int
     rows: tuple[int, ...]
 
-    def get(self, row: int, col: int) -> int:
-        return (self.rows[row - 1] >> (col - 1)) & 1
-
     def ones(self) -> set[Cell]:
         return set(_cells_of_rows(self.rows))
-
-    def count_ones(self) -> int:
-        return sum(bits.bit_count() for bits in self.rows)
 
 
 def _render_row(bits: int, n: int) -> str:
@@ -96,24 +90,17 @@ class FinalConfiguration:
     condensed: Word
 
     @classmethod
-    def from_tiles(cls, tiles: Iterable[Tile]) -> "FinalConfiguration":
-        """Configuration of tiles listed left to right.
-
-        The condensed permutation collapses each tile to one cell: the
-        highest tile (smallest top row) gets the largest value.
-        """
-        tiles = tuple(tiles)
-        m = len(tiles)
-        rank = {row: k for k, row in enumerate(sorted(t.row for t in tiles), 1)}
-        return cls(tiles, tuple(m - rank[t.row] + 1 for t in tiles))
-
-    @classmethod
     def from_grid(cls, g: Grid) -> "FinalConfiguration":
         """Configuration of a final grid, read from its row bitmasks.
 
         Each tile is a block of identical rows whose mask is one run of
         1s exactly as wide as the block is tall; tiles use disjoint
         columns.  Anything else raises AssertionError.
+
+        Tiles are listed left to right.  The condensed permutation
+        collapses each tile to one cell: the highest tile (smallest top
+        row) gets the largest value, so with m tiles the k-th tile found
+        from the top gets m - k + 1.
         """
         rows, n = g.rows, g.n
         tiles: list[Tile] = []
@@ -130,8 +117,9 @@ class FinalConfiguration:
             used |= mask
             tiles.append(Tile(top + 1, col, size))
             top += size
-        tiles.sort(key=lambda t: t.col)
-        return cls.from_tiles(tiles)
+        m = len(tiles)
+        order = sorted(range(m), key=lambda k: tiles[k].col)
+        return cls(tuple(tiles[k] for k in order), tuple(m - k for k in order))
 
     @property
     def sizes(self) -> tuple[int, ...]:

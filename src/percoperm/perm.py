@@ -26,7 +26,6 @@ __all__ = [
     "reverse",
     "is_indecomposable",
     "comps",
-    "last_comp",
 ]
 
 
@@ -152,8 +151,3 @@ def comps(p: Sequence[int]) -> list[Word]:
             out.append(p[start:i])
             start = i
     return out
-
-
-def last_comp(p: Sequence[int]) -> Word:
-    """The rightmost indecomposable component (maximum-length indecomposable suffix)."""
-    return comps(p)[-1]

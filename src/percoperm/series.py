@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -69,24 +69,25 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@lru_cache(maxsize=None)
-def _schroeder_prefix(k: int) -> tuple[int, ...]:
-    if k == 0:
-        return (1,)
-    prev = _schroeder_prefix(k - 1)
-    n = k - 1
-    nxt = prev[n] + sum(prev[j] * prev[n - j] for j in range(n + 1))
-    return prev + (nxt,)
+# S_0, S_1, ... as far as any call has needed them; the lock keeps two
+# threads from appending the same term twice.
+_SCHROEDER = [1]
+_SCHROEDER_LOCK = threading.Lock()
 
 
 def schroeder_large(k: int) -> int:
     """The k-th large Schroeder number S_k (S_0 = 1, S_1 = 2, ...).
 
-    Computed by the recurrence c_{n+1} = c_n + sum_{j<=n} c_j c_{n-j}.
+    Computed by the recurrence c_{n+1} = c_n + sum_{j<=n} c_j c_{n-j},
+    which extends one table in a loop, so no call recurses.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _schroeder_prefix(k)[k]
+    table = _SCHROEDER
+    with _SCHROEDER_LOCK:
+        for n in range(len(table) - 1, k):
+            table.append(table[n] + sum(table[j] * table[n - j] for j in range(n + 1)))
+    return table[k]
 
 
 def schroeder_little(k: int) -> int:

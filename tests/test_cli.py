@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import percoperm
 from percoperm import counting, percolation, series
 from percoperm.cli import SEQUENCE_MAX, VERIFY_MAX_N, main
+from percoperm.melds import merge_run, serialize_meld
+from test_melds import DEEP_PERMS
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+def run(*args, env=None, input=None):
+    return CliRunner().invoke(main, list(args), env=env, input=input)
 
 
 class TestPercolate:
@@ -99,6 +105,33 @@ class TestBracket:
 
     def test_parse_error_exit_2(self):
         assert run("bracket", "").exit_code == 2
+
+
+class TestStdin:
+    """``-`` reads PERM from stdin, for inputs longer than one argv string may be."""
+
+    p = DEEP_PERMS["odd-up-even-down"]
+    text = " ".join(map(str, p)) + "\n"
+
+    def test_bracket_deep_input(self):
+        result = run("bracket", "-", input=self.text)
+        assert result.exit_code == 0
+        assert result.output == serialize_meld(merge_run(self.p).melds[0]) + "\n"
+
+    def test_comps_through_a_pipe(self):
+        src = os.path.dirname(os.path.dirname(percoperm.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "percoperm.cli", "comps", "-"], input=self.text,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert result.stdout == "(1)(" + " ".join(map(str, self.p[1:])) + ")\n"
+
+    @pytest.mark.parametrize("command", ["percolate", "bracket", "comps"])
+    def test_empty_stdin(self, command):
+        result = run(command, "-", input="")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "Error: empty input\n"
 
 
 class TestComps:
@@ -282,3 +315,9 @@ def test_error_is_one_stderr_line(args, env):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
     assert "Traceback" not in result.output
+
+
+def test_sequence_accepts_its_max():
+    result = run("sequence", "kings", str(SEQUENCE_MAX), "--format", "json")
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)) == SEQUENCE_MAX + 1

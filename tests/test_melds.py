@@ -94,10 +94,10 @@ class TestEager:
 
 
 def test_merging_builds_no_grid_tiles(monkeypatch):
-    def refuse(cls, tiles):
-        raise AssertionError("merging must not build a FinalConfiguration")
+    def refuse(*args):
+        raise AssertionError("merging must not build a grid Tile")
 
-    monkeypatch.setattr(percolation.FinalConfiguration, "from_tiles", classmethod(refuse))
+    monkeypatch.setattr(percolation, "Tile", refuse)
     p = (6, 4, 5, 3, 9, 10, 2, 1, 8, 7)  # four tiles on the no-growth skeleton 2413
     for direction in ("left", "right"):
         out = merge_run(p, direction)

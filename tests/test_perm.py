@@ -9,7 +9,6 @@ from percoperm.perm import (
     comps,
     format_permutation,
     is_indecomposable,
-    last_comp,
     parse_permutation,
     reduced,
     reverse,
@@ -110,11 +109,6 @@ class TestComps:
 
     def test_indecomposable_is_single_factor(self):
         assert comps((2, 4, 1, 3)) == [(2, 4, 1, 3)]
-
-    def test_last_comp(self):
-        assert last_comp((3, 1, 2, 6, 4, 5, 7, 9, 8)) == (9, 8)
-        assert last_comp((2, 4, 1, 3, 5, 8, 6, 7)) == (8, 6, 7)
-        assert last_comp((2, 4, 1, 3)) == (2, 4, 1, 3)
 
 
 def brute_longest_indecomposable_suffix(p):

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import percoperm
 from percoperm.series import (
     Series,
     a_abramson_moser,
@@ -66,6 +70,21 @@ class TestSchroeder:
     def test_halving(self):
         for k in range(1, 20):
             assert 2 * schroeder_little(k) == schroeder_large(k)
+
+    def test_three_term_recurrence(self):
+        # (n+1) S_n = 3(2n-1) S_{n-1} - (n-2) S_{n-2}, independent of the
+        # convolution recurrence that builds the table.
+        S = [schroeder_large(k) for k in range(601)]
+        for n in range(2, 601):
+            assert (n + 1) * S[n] == 3 * (2 * n - 1) * S[n - 1] - (n - 2) * S[n - 2]
+
+    def test_fresh_interpreter_needs_no_recursion(self):
+        src = os.path.dirname(os.path.dirname(percoperm.__file__))
+        code = ("import sys; from percoperm.series import schroeder_large; "
+                "print(sys.getrecursionlimit(), schroeder_large(600))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout.split() == ["1000", str(schroeder_large(600))]
 
 
 class TestTaylorG:
