@@ -1,14 +1,22 @@
 """Brute-force counts over the symmetric group.
 
 Counts of full, full-indecomposable, and no-growth permutations, plus the
-factorial identity that cross-checks them.  One walk over the symmetry
-classes of S_n tallies every family asked for, with O(n) predicates
-(interval merging for fullness, adjacent-value differences for no-growth);
-their agreement with the cell-level definitions is property-tested
-elsewhere.
+factorial identity that cross-checks them.  One depth-first walk over the
+symmetry classes of S_n tallies every family asked for.  It fixes the
+first and last values of an orbit representative and adds the middle
+values one at a time.  Each prefix carries its left-merge stack of value
+intervals (a permutation is full iff the stack ends as one interval) and
+a flag that no adjacent difference so far is 1 (no-growth).  A child
+extends its parent's stack by one push.  A branch is dropped once the
+stack fails ``melds.can_collapse`` and the flag is off, either counting as
+off when its families are not asked for.  The last value takes no part in
+the cut, as merges happen before it arrives (1 3 5 4 2 is full).  Pruning
+skips only permutations that count in no family asked for, so the walk
+stays brute force; its agreement with the cell-level definitions is
+property-tested elsewhere.
 
-The walk visits one or two permutations per orbit of the group {id,
-reverse r, complement c, reverse-complement rc}.  For n >= 2:
+The representatives are one or two permutations per orbit of the group
+{id, reverse r, complement c, reverse-complement rc}.  For n >= 2:
 
 - r and c fix no permutation (w_1 = w_n, or every w_i = (n+1)/2), so an
   orbit has 4 elements, or 2 when rc fixes w.
@@ -27,7 +35,6 @@ reverse r, complement c, reverse-complement rc}.  For n >= 2:
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -36,25 +43,26 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Sequence
 
-from .melds import quick_is_full
+from .melds import can_collapse, push_value, quick_is_full
 from .perm import is_indecomposable
 from .series import compositions
 
-# The cost is the n! permutations, walked as about n!/4 orbit representatives.
-# One serial walk over all three families takes about 1.6 us a permutation
-# of S_n (count_report(10, "all"): 5.9 s, Python 3.11 on one core), so the
-# 12! ~ 4.8e8 of n = 12 take about 13 min; count 11 --which all --parallel
-# takes 36 s on 2 vCPUs.
+# The cost is the n! permutations, walked as about n!/4 orbit representatives
+# and pruned to the prefixes that can still be full or no-growth.  A serial
+# walk over all three families takes 1.6 s at n = 10 and 13 s at n = 11
+# (count_report(n, "all"), Python 3.11 on one core), about 8 times more per
+# size; count 12 --which all --parallel takes about 65 s on 2 vCPUs, and
+# count 11 8 s.
 MAX_N = 12
-# verify_factorial_identity(10) brute-forces sizes 1..10 in about 5.6 s
-# (same machine); n = 11 would take about 11 times as long.
+# verify_factorial_identity(10) brute-forces sizes 1..10 in about 1.5 s
+# (same machine); n = 11 would take about 8 times as long.
 FACTORIAL_IDENTITY_MAX_N = 10
 # Below this size a parallel pass does not repay starting the worker
 # processes: one size's walk over all families, PERCOPERM_THREADS=2 on 2
-# vCPUs (medians of 5 runs, three rounds), takes 10.2-10.7 ms serial against
-# 21.3-26.2 ms on its own pool at n = 7, and 59-73 ms against 57-69 ms at n = 8,
-# or 39-48 ms on a pool already started by count_table.  count_table(9,
-# "all", parallel=True) takes 390 ms with this cut-off and 416 ms at 9.
+# vCPUs (medians of 5 runs, three rounds), takes 9.6-11.9 ms serial against
+# 28-35 ms on its own pool at n = 7, and 52-59 ms against 54-66 ms at n = 8,
+# or 44-49 ms on a pool already started by count_table.  count_table(9,
+# "all", parallel=True) takes 268-276 ms with this cut-off and 267-290 ms at 9.
 PARALLEL_MIN_N = 8
 
 __all__ = [
@@ -141,18 +149,38 @@ def _walk(n: int, pair: tuple[int, int], want: tuple[bool, bool, bool]) -> tuple
     is: q is tested only on full permutations.
     """
     first, last = pair
-    rest = [v for v in range(1, n + 1) if v != first and v != last]
     want_p, want_q, want_a = want
-    full, indecomposable = quick_is_full, is_indecomposable
+    word = [first] * (n - 1) + [last]  # the middle is filled in as the walk goes
     p = q = a = 0
-    for mid in itertools.permutations(rest):
-        w = (first, *mid, last)
-        if want_a and _is_no_growth(w):
-            a += 1
-        if (want_p or want_q) and full(w):
-            p += 1
-            if want_q:
-                q += indecomposable(w) + indecomposable(w[::-1])
+
+    def extend(depth, free, stack, no_growth):
+        # stack is None once it cannot collapse or p and q are not wanted.
+        nonlocal p, q, a
+        prev = word[depth - 1]
+        if not free:
+            a += no_growth and abs(prev - last) != 1
+            if stack is not None:
+                push_value(stack, last)
+                if len(stack) == 1:
+                    p += 1
+                    if want_q:
+                        w = tuple(word)
+                        q += is_indecomposable(w) + is_indecomposable(w[::-1])
+            return
+        for i, v in enumerate(free):
+            flat = no_growth and abs(v - prev) != 1
+            merged = None
+            if stack is not None:
+                merged = stack.copy()
+                push_value(merged, v)
+                if not can_collapse(merged):
+                    merged = None
+            if flat or merged is not None:
+                word[depth] = v
+                extend(depth + 1, free[:i] + free[i + 1 :], merged, flat)
+
+    rest = tuple(v for v in range(1, n + 1) if v != first and v != last)
+    extend(1, rest, [(first, first)] if want_p or want_q else None, want_a)
     weight = 4 if first + last < n + 1 else 2
     return weight * p, weight // 2 * q, weight * a
 
@@ -219,11 +247,14 @@ def verify_factorial_identity(n: int) -> tuple[int, int]:
     return _factorial_identity(n, p, a)
 
 
-def _report(n: int, which: str, pool) -> CountReport:
+def _want(which: str) -> tuple[bool, bool, bool]:
     if which not in _FAMILIES:
         raise ValueError(f"unknown family {which!r}")
+    return _FAMILIES[which]
+
+
+def _report(n: int, want: tuple[bool, bool, bool], pool) -> CountReport:
     start = time.perf_counter()
-    want = _FAMILIES[which]
     counts = _tally(n, want, pool)
     report = CountReport(n, *(c if wanted else None for c, wanted in zip(counts, want)))
     report.elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -232,7 +263,7 @@ def _report(n: int, which: str, pool) -> CountReport:
 
 def count_report(n: int, which: str = "all") -> CountReport:
     """CountReport for one size; ``which`` selects the families computed."""
-    return _report(n, which, None)
+    return _report(n, _want(which), None)
 
 
 def count_table(n: int, which: str = "all", *, parallel: bool = False) -> list[CountReport]:
@@ -242,7 +273,8 @@ def count_table(n: int, which: str = "all", *, parallel: bool = False) -> list[C
     which never has more workers than size n has (first, last) pairs.
     """
     _check_n(n)
+    want = _want(which)
     if not parallel or n < PARALLEL_MIN_N:
-        return [_report(k, which, None) for k in range(1, n + 1)]
+        return [_report(k, want, None) for k in range(1, n + 1)]
     with ProcessPoolExecutor(max_workers=min(max_workers(), len(_pairs(n)))) as pool:
-        return [_report(k, which, pool if k >= PARALLEL_MIN_N else None) for k in range(1, n + 1)]
+        return [_report(k, want, pool if k >= PARALLEL_MIN_N else None) for k in range(1, n + 1)]

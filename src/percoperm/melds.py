@@ -25,6 +25,8 @@ __all__ = [
     "parse_meld",
     "top_level_kind",
     "components_via_bracketing",
+    "push_value",
+    "can_collapse",
     "final_value_intervals",
     "quick_is_full",
 ]
@@ -257,27 +259,57 @@ def components_via_bracketing(p: Sequence[int]) -> list[Word]:
     return rear[::-1]
 
 
+def push_value(stack: list[tuple[int, int]], a: int) -> None:
+    """Push value ``a`` onto a left-merge stack of (lo, hi) intervals, in place.
+
+    ``a`` merges with the top while their intervals abut.
+    """
+    lo = hi = a
+    while stack:
+        l2, h2 = stack[-1]
+        if h2 + 1 == lo:
+            lo = l2
+        elif hi + 1 == l2:
+            hi = h2
+        else:
+            break
+        stack.pop()
+    stack.append((lo, hi))
+
+
+def can_collapse(stack: Sequence[tuple[int, int]]) -> bool:
+    """False when no further pushes can merge ``stack`` into one interval.
+
+    Reads the stack from the top down, keeping the hull of the intervals
+    above, and fails once an interval lies inside that hull.  The test is
+    necessary, not sufficient: an interval I below the top only ever
+    merges with the one meld T above it, by which time T holds every
+    interval above I.  T's values are contiguous and disjoint from I, so I
+    cannot lie inside their hull.  (The hull's ends belong to intervals
+    above, so I lies below the hull, above it or inside it.)
+    """
+    intervals = reversed(stack)
+    lo, hi = next(intervals)
+    for l2, h2 in intervals:
+        if h2 < lo:
+            lo = l2
+        elif l2 > hi:
+            hi = h2
+        else:
+            return False
+    return True
+
+
 def final_value_intervals(p: Sequence[int]) -> list[tuple[int, int]]:
     """Value interval (lo, hi) of each final tile, left to right.
 
-    One O(n) stack pass: push each value as a unit interval and merge
-    with the top while the intervals abut.  Pairs below the top are never
+    One O(n) pass of ``push_value``.  Pairs below the top are never
     mergeable, so the result is a complete merge; by order-invariance it
     equals the final configuration of any merging order.
     """
     stack: list[tuple[int, int]] = []
     for a in p:
-        lo = hi = a
-        while stack:
-            l2, h2 = stack[-1]
-            if h2 + 1 == lo:
-                lo = l2
-            elif hi + 1 == l2:
-                hi = h2
-            else:
-                break
-            stack.pop()
-        stack.append((lo, hi))
+        push_value(stack, a)
     return stack
 
 

@@ -39,6 +39,24 @@ def full_walk(n, want):
     return p, q, a
 
 
+def pair_walk(n, pair, want):
+    """The walk of ``counting._walk`` one permutation at a time, unpruned: its oracle."""
+    first, last = pair
+    rest = [v for v in range(1, n + 1) if v != first and v != last]
+    want_p, want_q, want_a = want
+    p = q = a = 0
+    for mid in itertools.permutations(rest):
+        w = (first, *mid, last)
+        if want_a and _is_no_growth(w):
+            a += 1
+        if (want_p or want_q) and quick_is_full(w):
+            p += 1
+            if want_q:
+                q += is_indecomposable(w) + is_indecomposable(w[::-1])
+    weight = 4 if first + last < n + 1 else 2
+    return weight * p, weight // 2 * q, weight * a
+
+
 def reverse(w):
     return w[::-1]
 
@@ -61,6 +79,14 @@ class TestOrbitWalk:
                 assert quick_is_full(image) == quick_is_full(w)
                 assert _is_no_growth(image) == _is_no_growth(w)
             assert is_indecomposable(reverse(complement(w))) == is_indecomposable(w)
+
+    @pytest.mark.parametrize("family", sorted(counting._FAMILIES))
+    @pytest.mark.parametrize(
+        "n, pair", [(9, (1, 2)), (9, (1, 9)), (9, (4, 5)), (10, (1, 2)), (10, (1, 10))]
+    )
+    def test_pruned_walk_matches_pair_walk(self, n, pair, family):
+        want = counting._FAMILIES[family]
+        assert counting._walk(n, pair, want) == pair_walk(n, pair, want)
 
     def test_pairs(self):
         for n in range(1, MAX_N + 1):
@@ -151,6 +177,11 @@ class TestCounts:
         assert [(r.n, r.p_n, r.q_n, r.a_n) for r in reports[-2:]] == [
             (8, 8558, 4279, 5242), (9, 41586, 20793, 47622),
         ]
+
+    def test_unknown_family_starts_no_pool(self, pools):
+        with pytest.raises(ValueError):
+            count_table(9, "bogus", parallel=True)
+        assert pools == []
 
     def test_no_pool_below_parallel_min_n(self, pools):
         r = count_table(PARALLEL_MIN_N - 1, "all", parallel=True)[-1]

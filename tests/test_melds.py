@@ -9,11 +9,13 @@ from percoperm.cli import main
 from percoperm.melds import (
     Kind,
     Meld,
+    can_collapse,
     components_via_bracketing,
     final_value_intervals,
     merge_eager,
     merge_run,
     parse_meld,
+    push_value,
     quick_is_full,
     serialize_meld,
     top_level_kind,
@@ -238,6 +240,23 @@ def test_final_intervals_match_merge_run(n):
     for p in itertools.permutations(range(1, n + 1)):
         intervals = final_value_intervals(p)
         assert intervals == [(m.lo, m.hi) for m in merge_run(p, "left").melds]
+
+
+def test_every_prefix_of_a_full_permutation_can_collapse():
+    for n in range(1, 9):
+        for p in itertools.permutations(range(1, n + 1)):
+            if not quick_is_full(p):
+                continue
+            stack = []
+            for a in p:
+                push_value(stack, a)
+                assert can_collapse(stack), (p, stack)
+
+
+@pytest.mark.parametrize("p", [(2, 4, 1, 3), (3, 1, 4, 2)])
+def test_cut_rejects_the_non_separable_patterns(p):
+    assert not can_collapse(final_value_intervals(p))
+    assert not can_collapse(final_value_intervals(p[:3]))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
