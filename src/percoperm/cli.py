@@ -21,8 +21,9 @@ from .perm import parse_permutation
 # every k <= N, about N^3 work in all: 0.1 s at N = 50, 0.7 s at N = 100 and
 # 6 s at N = 200 (Python 3.11, one core).  50 keeps every sequence near 0.1 s.
 SEQUENCE_MAX = 50
-# The verify checks take about 2 s at n = 10 (Python 3.11, one core); n = 11
-# adds a serial count of S_11, about 13 s more.
+# verify 10 takes about 1.5 s with its counts on a pool of 2 vCPUs (2.4 s on
+# one core, Python 3.11); n = 11 adds a count of S_11, about 6.4 s more on
+# the pool and 13 s serially.
 VERIFY_MAX_N = 10
 
 
@@ -126,12 +127,6 @@ def cmd_bracket(perm: str, direction: str, fmt: str) -> None:
         click.echo(s)
 
 
-def _format_factor(word) -> str:
-    if max(word) <= 9:
-        return "".join(str(v) for v in word)
-    return " ".join(str(v) for v in word)
-
-
 @main.command("comps")
 @click.argument("perm")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json"]),
@@ -143,27 +138,29 @@ def cmd_comps(perm: str, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps({"components": [list(f) for f in factors]}))
         return
-    click.echo("".join(f"({_format_factor(f)})" for f in factors))
+    # Digit strings only where parse_permutation reads them, so every value is one digit.
+    sep = "" if len(p) <= 9 else " "
+    click.echo("".join(f"({sep.join(map(str, f))})" for f in factors))
 
 
 @main.command("count")
 @click.argument("n", type=int)
 @click.option("--which", type=click.Choice(["full", "indec-full", "no-growth", "all"]),
               default="all", show_default=True)
-@click.option("--parallel", is_flag=True,
-              help="Split each size's walk by (first, last) values across worker processes.")
+# count picks its process pool itself; --parallel is still accepted, for old scripts.
+@click.option("--parallel", is_flag=True, hidden=True, expose_value=False)
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
               default="plain", show_default=True)
-def cmd_count(n: int, which: str, parallel: bool, fmt: str) -> None:
-    """Count full / full-indecomposable / no-growth permutations for sizes 1..N."""
-    if not 1 <= n <= counting.MAX_N:
-        _fail(f"n must be in 1..{counting.MAX_N}")
-    if parallel:
-        try:
-            counting.max_workers()
-        except ValueError as exc:
-            _fail(str(exc))
-    reports = counting.count_table(n, which, parallel=parallel)
+def cmd_count(n: int, which: str, fmt: str) -> None:
+    """Count full / full-indecomposable / no-growth permutations for sizes 1..N.
+
+    Sizes from counting.PARALLEL_MIN_N up share one pool of worker
+    processes; PERCOPERM_THREADS caps its size, and 1 walks serially.
+    """
+    try:
+        reports = counting.count_table(n, which)
+    except ValueError as exc:
+        _fail(str(exc))
     if fmt == "csv":
         click.echo(counting.CountReport.CSV_HEADER)
         for r in reports:
@@ -231,8 +228,12 @@ def cmd_verify(n: int) -> None:
     """
     if not 1 <= n <= VERIFY_MAX_N:
         _fail(f"n must be in 1..{VERIFY_MAX_N}")
+    try:
+        checks = _verify_checks(n)
+    except ValueError as exc:
+        _fail(str(exc))
     failed = False
-    for name, start, check in _verify_checks(n):
+    for name, start, check in checks:
         for k in range(start, n + 1):
             detail = check(k)
             if detail is not None:

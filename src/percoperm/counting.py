@@ -15,6 +15,11 @@ skips only permutations that count in no family asked for, so the walk
 stays brute force; its agreement with the cell-level definitions is
 property-tested elsewhere.
 
+``count_table``, behind both ``count`` and ``verify``, picks its own
+process pool for the sizes from PARALLEL_MIN_N up, over which it spreads
+each size's (first, last) pairs; ``count_report`` and the single-family
+counts walk serially.
+
 The representatives are one or two permutations per orbit of the group
 {id, reverse r, complement c, reverse-complement rc}.  For n >= 2:
 
@@ -40,10 +45,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import sub
-from typing import Sequence
 
-from .melds import can_collapse, push_value, quick_is_full
+from .melds import can_collapse, push_value
 from .perm import is_indecomposable
 from .series import compositions
 
@@ -51,19 +54,21 @@ from .series import compositions
 # and pruned to the prefixes that can still be full or no-growth.  A serial
 # walk over all three families takes 1.6 s at n = 10 and 13 s at n = 11
 # (count_report(n, "all"), Python 3.11 on one core), about 8 times more per
-# size; count 12 --which all --parallel takes about 65 s on 2 vCPUs, and
-# count 11 8 s.
+# size; count 12 --which all takes about 56 s on a pool of 2 vCPUs, and
+# count 11 7.5 s.
 MAX_N = 12
 # verify_factorial_identity(10) brute-forces sizes 1..10 in about 1.5 s
 # (same machine); n = 11 would take about 8 times as long.
 FACTORIAL_IDENTITY_MAX_N = 10
-# Below this size a parallel pass does not repay starting the worker
-# processes: one size's walk over all families, PERCOPERM_THREADS=2 on 2
-# vCPUs (medians of 5 runs, three rounds), takes 9.6-11.9 ms serial against
-# 28-35 ms on its own pool at n = 7, and 52-59 ms against 54-66 ms at n = 8,
-# or 44-49 ms on a pool already started by count_table.  count_table(9,
-# "all", parallel=True) takes 268-276 ms with this cut-off and 267-290 ms at 9.
-PARALLEL_MIN_N = 8
+# count_table starts a process pool from this size up: below it a fresh pool
+# does not repay starting the workers for every family.  count_table(n, which)
+# with PERCOPERM_THREADS=2 on 2 vCPUs, serial against a fresh pool (medians
+# of 5 runs, three rounds): at n = 8, full 32-38 ms against 38-45 ms,
+# indec-full 54-63 against 51-59, no-growth 8-9 against 22-24 and all 62-66
+# against 52-60; at n = 9, full 125-192 against 109-133, indec-full 250-313
+# against 174-214, no-growth 49-72 against 44-58 and all 318-376 against
+# 227-239.  At n = 10 the pool takes all from 2.1 s to 1.2-1.3 s.
+PARALLEL_MIN_N = 9
 
 __all__ = [
     "MAX_N",
@@ -120,12 +125,6 @@ def max_workers() -> int:
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-
-
-def _is_no_growth(p: Sequence[int]) -> bool:
-    # Kings in adjacent columns must sit >= 2 rows apart; diagonal adjacency
-    # is the only possible attack between distinct rows and columns.
-    return 1 not in map(abs, map(sub, p[1:], p))
 
 
 # Which of (p, q, a) each family name asks for.
@@ -191,13 +190,9 @@ def _tally(n: int, want: tuple[bool, bool, bool], pool=None) -> tuple[int, int, 
     ``pool``, an executor, maps the pairs over its workers; without one the
     pairs are walked in turn.
     """
-    _check_n(n)
-    if n == 1:  # (1,) is its own orbit and has no pair f < l
-        w = (1,)
+    if n == 1:  # (1,) is its own orbit, has no pair f < l and is in every family
         want_p, want_q, want_a = want
-        p = (want_p or want_q) and quick_is_full(w)
-        q = want_q and p and is_indecomposable(w)
-        return int(p), int(q), int(want_a and _is_no_growth(w))
+        return int(want_p or want_q), int(want_q), int(want_a)
     pairs = _pairs(n)
     parts = (pool.map if pool else map)(_walk, [n] * len(pairs), pairs, [want] * len(pairs))
     return tuple(sum(column) for column in zip(*parts))
@@ -262,19 +257,24 @@ def _report(n: int, want: tuple[bool, bool, bool], pool) -> CountReport:
 
 
 def count_report(n: int, which: str = "all") -> CountReport:
-    """CountReport for one size; ``which`` selects the families computed."""
+    """CountReport for one size, walked serially; ``which`` selects the families computed."""
+    _check_n(n)
     return _report(n, _want(which), None)
 
 
-def count_table(n: int, which: str = "all", *, parallel: bool = False) -> list[CountReport]:
-    """CountReports for the sizes 1..n.
+def count_table(n: int, which: str = "all") -> list[CountReport]:
+    """CountReports for the sizes 1..n; ``which`` selects the families computed.
 
-    With ``parallel``, the sizes PARALLEL_MIN_N..n share one process pool,
-    which never has more workers than size n has (first, last) pairs.
+    The inputs and ``max_workers()`` are checked before any work starts.
+    When n >= PARALLEL_MIN_N and two or more workers are allowed, the sizes
+    PARALLEL_MIN_N..n share one process pool, which never has more workers
+    than size n has (first, last) pairs; otherwise every size is walked
+    serially.  PERCOPERM_THREADS=1 forces the serial walk.
     """
     _check_n(n)
     want = _want(which)
-    if not parallel or n < PARALLEL_MIN_N:
+    workers = min(max_workers(), len(_pairs(n)))
+    if workers < 2 or n < PARALLEL_MIN_N:
         return [_report(k, want, None) for k in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=min(max_workers(), len(_pairs(n)))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return [_report(k, want, pool if k >= PARALLEL_MIN_N else None) for k in range(1, n + 1)]

@@ -27,8 +27,6 @@ __all__ = [
     "components_via_bracketing",
     "push_value",
     "can_collapse",
-    "final_value_intervals",
-    "quick_is_full",
 ]
 
 
@@ -298,21 +296,3 @@ def can_collapse(stack: Sequence[tuple[int, int]]) -> bool:
         else:
             return False
     return True
-
-
-def final_value_intervals(p: Sequence[int]) -> list[tuple[int, int]]:
-    """Value interval (lo, hi) of each final tile, left to right.
-
-    One O(n) pass of ``push_value``.  Pairs below the top are never
-    mergeable, so the result is a complete merge; by order-invariance it
-    equals the final configuration of any merging order.
-    """
-    stack: list[tuple[int, int]] = []
-    for a in p:
-        push_value(stack, a)
-    return stack
-
-
-def quick_is_full(p: Sequence[int]) -> bool:
-    """Fast fullness test used by the counting loops; input is not validated."""
-    return len(final_value_intervals(p)) == 1

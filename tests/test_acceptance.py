@@ -21,7 +21,6 @@ from percoperm.melds import (
     components_via_bracketing,
     merge_eager,
     merge_run,
-    quick_is_full,
     serialize_meld,
     top_level_kind,
 )
@@ -33,7 +32,7 @@ from percoperm.percolation import (
     mutation_layers,
     percolate,
 )
-from percoperm.perm import comps, is_indecomposable, reverse
+from percoperm.perm import comps, is_indecomposable, reduced, reverse
 from percoperm.series import (
     a_abramson_moser,
     a_formula,
@@ -186,7 +185,7 @@ def test_criterion_08_structural_suites():
             left = merge_run(p, "left")
             ok = ok and all(right_child_ok(m) for m in left.melds)
             factors = comps(p)
-            ok = ok and left.full == all(quick_is_full(f) for f in factors)
+            ok = ok and left.full == all(merge_run(reduced(f)).full for f in factors)
             if left.full:
                 kind = left.melds[0].kind
                 ok = ok and (kind is Kind.SQUARE) == is_indecomposable(p)

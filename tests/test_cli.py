@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -148,6 +149,12 @@ class TestComps:
         payload = json.loads(run("comps", "213", "--format", "json").output)
         assert payload == {"components": [[2, 1], [3]]}
 
+    def test_beyond_nine_values_separates_every_value(self):
+        # (2 1) must not print as the value 21, which is also a factor here.
+        p = [2, 1] + list(range(3, 31))
+        expected = "(2 1)" + "".join(f"({v})" for v in range(3, 31)) + "\n"
+        assert run("comps", " ".join(map(str, p))).output == expected
+
 
 class TestCount:
     def test_full_plain(self):
@@ -185,6 +192,18 @@ class TestCount:
     def test_invalid_n_exit_2(self):
         assert run("count", "0").exit_code == 2
         assert run("count", str(counting.MAX_N + 1)).exit_code == 2
+
+    def test_parallel_flag_changes_nothing(self):
+        def counts(*flags):
+            result = run("count", "9", *flags)
+            assert result.exit_code == 0
+            return re.sub(r" \([0-9.]+ ms\)", "", result.output)
+
+        assert counts() == counts("--parallel")
+        assert counts().splitlines()[-1] == "n=9 full=41586 indec-full=20793 no-growth=47622"
+
+    def test_parallel_flag_is_hidden(self):
+        assert "--parallel" not in run("count", "--help").output
 
     def test_non_integer_threads_exit_2(self):
         result = run("count", "7", "--parallel", env={"PERCOPERM_THREADS": "abc"})
@@ -300,6 +319,8 @@ ERROR_CASES = [
     (("count", "0"), None),
     (("count", str(counting.MAX_N + 1)), None),
     (("count", "7", "--parallel"), {"PERCOPERM_THREADS": "abc"}),
+    (("count", "7"), {"PERCOPERM_THREADS": "abc"}),
+    (("verify", "7"), {"PERCOPERM_THREADS": "abc"}),
     (("verify", "0"), None),
     (("verify", str(VERIFY_MAX_N + 1)), None),
     (("sequence", "kings", str(SEQUENCE_MAX + 1)), None),

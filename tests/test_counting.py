@@ -14,11 +14,16 @@ from percoperm.counting import (
     count_report,
     count_table,
     verify_factorial_identity,
-    _is_no_growth,
 )
-from percoperm.melds import quick_is_full
+from percoperm.melds import merge_run
 from percoperm.percolation import is_full, matrix_of, mutable_cells
 from percoperm.perm import is_indecomposable
+
+
+def _is_no_growth(p):
+    # Kings in adjacent columns must sit >= 2 rows apart; diagonal adjacency
+    # is the only possible attack between distinct rows and columns.
+    return all(abs(a - b) != 1 for a, b in zip(p, p[1:]))
 
 
 def full_walk(n, want):
@@ -32,7 +37,7 @@ def full_walk(n, want):
     for w in itertools.permutations(range(1, n + 1)):
         if want_a and _is_no_growth(w):
             a += 1
-        if (want_p or want_q) and quick_is_full(w):
+        if (want_p or want_q) and merge_run(w).full:
             p += 1
             if want_q and is_indecomposable(w):
                 q += 1
@@ -49,7 +54,7 @@ def pair_walk(n, pair, want):
         w = (first, *mid, last)
         if want_a and _is_no_growth(w):
             a += 1
-        if (want_p or want_q) and quick_is_full(w):
+        if (want_p or want_q) and merge_run(w).full:
             p += 1
             if want_q:
                 q += is_indecomposable(w) + is_indecomposable(w[::-1])
@@ -76,7 +81,7 @@ class TestOrbitWalk:
     def test_predicates_constant_on_orbits(self, n):
         for w in itertools.permutations(range(1, n + 1)):
             for image in (reverse(w), complement(w)):
-                assert quick_is_full(image) == quick_is_full(w)
+                assert merge_run(image).full == merge_run(w).full
                 assert _is_no_growth(image) == _is_no_growth(w)
             assert is_indecomposable(reverse(complement(w))) == is_indecomposable(w)
 
@@ -120,14 +125,13 @@ class TestCounts:
             for p in itertools.permutations(range(1, n + 1)):
                 assert _is_no_growth(p) == (not mutable_cells(matrix_of(p)))
 
-    @pytest.mark.parametrize("n", [PARALLEL_MIN_N, PARALLEL_MIN_N + 1])
-    def test_parallel_agrees_with_serial(self, n):
-        serial = count_table(n, "all")
-        for family, want in counting._FAMILIES.items():
-            parallel = count_table(n, family, parallel=True)
-            assert [(r.p_n, r.q_n, r.a_n) for r in parallel] == [
-                tuple(c if wanted else None for c, wanted in zip((r.p_n, r.q_n, r.a_n), want))
-                for r in serial
+    @pytest.mark.parametrize("n", [PARALLEL_MIN_N - 1, PARALLEL_MIN_N])
+    def test_parallel_agrees_with_serial(self, n, monkeypatch):
+        monkeypatch.setenv("PERCOPERM_THREADS", "2")
+        for family in counting._FAMILIES:
+            table = count_table(n, family)
+            assert [(r.n, r.p_n, r.q_n, r.a_n) for r in table] == [
+                (r.n, r.p_n, r.q_n, r.a_n) for r in (count_report(k, family) for k in range(1, n + 1))
             ]
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -167,26 +171,37 @@ class TestCounts:
 
     def test_process_workers_capped_at_job_count(self, pools):
         # The jobs are the (first, last) pairs f < l with f + l <= n + 1.
-        r = count_table(PARALLEL_MIN_N, "all", parallel=True)[-1]
+        r = count_table(PARALLEL_MIN_N, "all")[-1]
         assert pools == [PARALLEL_MIN_N ** 2 // 4]
-        assert (r.p_n, r.q_n, r.a_n) == (8558, 4279, 5242)
+        assert (r.p_n, r.q_n, r.a_n) == (41586, 20793, 47622)
 
     def test_table_starts_one_pool(self, pools):
-        reports = count_table(9, "all", parallel=True)
-        assert pools == [9 ** 2 // 4]
-        assert [(r.n, r.p_n, r.q_n, r.a_n) for r in reports[-2:]] == [
-            (8, 8558, 4279, 5242), (9, 41586, 20793, 47622),
-        ]
+        reports = count_table(10, "no-growth")
+        assert pools == [10 ** 2 // 4]
+        assert [(r.n, r.a_n) for r in reports[-3:]] == [(8, 5242), (9, 47622), (10, 479306)]
+
+    def test_one_thread_starts_no_pool(self, pools, monkeypatch):
+        monkeypatch.setenv("PERCOPERM_THREADS", "1")
+        r = count_table(9, "all")[-1]
+        assert pools == []
+        assert (r.p_n, r.q_n, r.a_n) == (41586, 20793, 47622)
 
     def test_unknown_family_starts_no_pool(self, pools):
         with pytest.raises(ValueError):
-            count_table(9, "bogus", parallel=True)
+            count_table(9, "bogus")
+        assert pools == []
+
+    @pytest.mark.parametrize("n, threads", [(9, "abc"), (3, "abc"), (0, "64"), (MAX_N + 1, "64")])
+    def test_bad_input_starts_no_pool(self, pools, monkeypatch, n, threads):
+        monkeypatch.setenv("PERCOPERM_THREADS", threads)
+        with pytest.raises(ValueError):
+            count_table(n, "all")
         assert pools == []
 
     def test_no_pool_below_parallel_min_n(self, pools):
-        r = count_table(PARALLEL_MIN_N - 1, "all", parallel=True)[-1]
+        r = count_table(PARALLEL_MIN_N - 1, "all")[-1]
         assert pools == []
-        assert (r.p_n, r.q_n, r.a_n) == (1806, 903, 646)
+        assert (r.p_n, r.q_n, r.a_n) == (8558, 4279, 5242)
 
 
 def test_recursion_for_full_counts():

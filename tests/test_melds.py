@@ -11,18 +11,16 @@ from percoperm.melds import (
     Meld,
     can_collapse,
     components_via_bracketing,
-    final_value_intervals,
     merge_eager,
     merge_run,
     parse_meld,
     push_value,
-    quick_is_full,
     serialize_meld,
     top_level_kind,
 )
 from percoperm import percolation
 from percoperm.percolation import final_configuration
-from percoperm.perm import comps, is_indecomposable, reverse
+from percoperm.perm import comps, is_indecomposable, reduced, reverse
 
 
 def restart_scan_merge(p, direction):
@@ -215,7 +213,7 @@ def test_structural_suite(n):
     for p in itertools.permutations(range(1, n + 1)):
         left = merge_run(p, "left")
         right = merge_run(p, "right")
-        assert left.full == right.full == quick_is_full(p)
+        assert left.full == right.full
         for m in left.melds + right.melds:
             assert tuple(sorted(m.word())) == tuple(range(m.lo, m.hi + 1))
         assert all(right_child_property_holds(m) for m in left.melds)
@@ -232,20 +230,13 @@ def test_structural_suite(n):
             # mirror relation between left merging of reverse(p) and right merging of p
             rev_left = merge_run(reverse(p), "left")
             assert shape(rev_left.melds[0]) == mirrored(right.melds[0])
-        assert left.full == all(quick_is_full(f) for f in comps(p))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_final_intervals_match_merge_run(n):
-    for p in itertools.permutations(range(1, n + 1)):
-        intervals = final_value_intervals(p)
-        assert intervals == [(m.lo, m.hi) for m in merge_run(p, "left").melds]
+        assert left.full == all(merge_run(reduced(f)).full for f in comps(p))
 
 
 def test_every_prefix_of_a_full_permutation_can_collapse():
     for n in range(1, 9):
         for p in itertools.permutations(range(1, n + 1)):
-            if not quick_is_full(p):
+            if not merge_run(p).full:
                 continue
             stack = []
             for a in p:
@@ -255,8 +246,10 @@ def test_every_prefix_of_a_full_permutation_can_collapse():
 
 @pytest.mark.parametrize("p", [(2, 4, 1, 3), (3, 1, 4, 2)])
 def test_cut_rejects_the_non_separable_patterns(p):
-    assert not can_collapse(final_value_intervals(p))
-    assert not can_collapse(final_value_intervals(p[:3]))
+    stack = []
+    for i, a in enumerate(p, 1):
+        push_value(stack, a)
+        assert can_collapse(stack) == (i < 3), stack
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -314,7 +307,7 @@ def test_full_iff_avoids_2413_and_3142():
                 avoids = all(reduce_after_dropping(p, i) in avoiders for i in range(n))
             if avoids:
                 avoiders.add(p)
-            assert quick_is_full(p) == avoids, p
+            assert merge_run(p).full == avoids, p
 
 
 DEEP_N = 10**5
