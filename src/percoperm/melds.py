@@ -10,6 +10,7 @@ of cell-level percolation, one macro step per merge.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -35,6 +36,10 @@ class Kind(enum.Enum):
     SQUARE = "square"
 
 
+_ROUND, _SQUARE = Kind.ROUND, Kind.SQUARE
+_new = tuple.__new__
+
+
 class Meld(NamedTuple):
     """Leaf (value at a position) or a Round/Square merge of two melds.
 
@@ -42,6 +47,12 @@ class Meld(NamedTuple):
     span; both are contiguous by construction.  A meld is immutable.
     Trees can be as deep as the permutation is long, so nothing here
     walks them recursively.
+
+    A tree has one node per leaf and one per merge, so the hot loops
+    (``merge_run``, ``parse_meld``, ``serialize_meld``) build nodes with
+    ``tuple.__new__(Meld, fields)`` and read fields by index: the
+    NamedTuple constructor is a Python-level ``__new__`` and costs a
+    Python call per node.  Field order is ``_fields``.
 
     Equality, hashing and ``repr`` are tuple's, which recurse in C:
     comparing two distinct trees of n = 10^5 values raises RecursionError.
@@ -59,16 +70,16 @@ class Meld(NamedTuple):
 
     @classmethod
     def leaf(cls, value: int, pos: int) -> "Meld":
-        return cls(value, value, pos, pos)
+        return _new(cls, (value, value, pos, pos, None, None, None))
 
     @classmethod
     def merge(cls, left: "Meld", right: "Meld") -> "Meld":
         if left.end + 1 != right.start:
             raise ValueError("melds are not position-adjacent")
         if left.hi + 1 == right.lo:
-            return cls(left.lo, right.hi, left.start, right.end, Kind.ROUND, left, right)
+            return _new(cls, (left.lo, right.hi, left.start, right.end, _ROUND, left, right))
         if right.hi + 1 == left.lo:
-            return cls(right.lo, left.hi, left.start, right.end, Kind.SQUARE, left, right)
+            return _new(cls, (right.lo, left.hi, left.start, right.end, _SQUARE, left, right))
         raise ValueError("meld values do not form a consecutive interval")
 
     @property
@@ -111,20 +122,37 @@ def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
     with the top while their value intervals abut.  Adjacent melds below
     the top are never mergeable, so each merge is the one a scan from
     that end would find first.
+
+    The loop runs once per node, so it keeps the new meld's interval in
+    locals, reads the top's fields by index and builds nodes with
+    ``tuple.__new__`` (see ``Meld``).  Which side abuts gives the kind.
     """
     p = check_permutation(p)
     if direction not in ("left", "right"):
         raise ValueError(f"unknown direction {direction!r}")
-    leaf, merge = Meld.leaf, Meld.merge
     left = direction == "left"
     # From the right end the new meld is the left child, and the stack
-    # holds the melds right to left.
+    # holds the melds right to left.  The kind when the top's values lie
+    # below the new meld's, and when they lie above:
+    below, above = (_ROUND, _SQUARE) if left else (_SQUARE, _ROUND)
     positions = range(1, len(p) + 1) if left else range(len(p), 0, -1)
     stack: list[Meld] = []
-    for pos in positions:
-        node = leaf(p[pos - 1], pos)
-        while stack and _mergeable(stack[-1], node):
-            node = merge(stack.pop(), node) if left else merge(node, stack.pop())
+    for pos, value in zip(positions, p if left else reversed(p)):
+        node = _new(Meld, (value, value, pos, pos, None, None, None))
+        lo = hi = value
+        while stack:
+            top = stack[-1]
+            if top[1] + 1 == lo:
+                lo, kind = top[0], below
+            elif hi + 1 == top[0]:
+                hi, kind = top[1], above
+            else:
+                break
+            stack.pop()
+            if left:
+                node = _new(Meld, (lo, hi, top[2], pos, kind, top, node))
+            else:
+                node = _new(Meld, (lo, hi, pos, top[3], kind, node, top))
         stack.append(node)
     if not left:
         stack.reverse()
@@ -163,64 +191,81 @@ def serialize_meld(m: Meld) -> str:
     todo: list[Meld | str] = [m]  # melds still to write, and closing text
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
-        elif item.kind is None:
-            out.append(str(item.lo))
-        elif item.kind is Kind.ROUND:
+        elif item[4] is None:
+            out.append(str(item[0]))
+        elif item[4] is _ROUND:
             out.append("(")
-            todo += (")", item.right, " ", item.left)
+            todo += (")", item[6], " ", item[5])
         else:
             out.append("[")
-            todo += ("]", item.right, " ", item.left)
+            todo += ("]", item[6], " ", item[5])
     return "".join(out)
 
 
+# One leaf of a bracketing string: its open brackets, value and close brackets.
+_LEAF = re.compile(r"([(\[]*)([1-9][0-9]*)([)\]]*)")
 _CLOSER = {"(": ")", "[": "]"}
-_KIND_OF_CLOSER = {")": Kind.ROUND, "]": Kind.SQUARE}
 
 
 def parse_meld(text: str) -> Meld:
-    """Inverse of serialize_meld (used for round-tripping).
+    """Inverse of serialize_meld: the meld a bracketing string writes.
 
-    One left-to-right walk over the string.  Each open bracket pushes a
-    frame [closing bracket, left child]; a finished meld either becomes
-    the left child of the innermost frame (a space must follow) or, as
-    its right child, completes it (its closing bracket must follow).
+    The grammar, after stripping whitespace at both ends of ``text``::
+
+        meld  := value | "(" meld " " meld ")" | "[" meld " " meld "]"
+        value := [1-9][0-9]*
+
+    Leaves take positions 1, 2, ... from the left.  "(l r)" needs the
+    values of l just below those of r, "[l r]" just above; any other
+    input raises ValueError.
+
+    Siblings are separated by exactly one space, so the text splits on
+    spaces into one chunk per leaf: open brackets, value, close brackets.
+    Each open bracket pushes a frame [closing bracket, left child]; each
+    close bracket completes the innermost frame, with the meld just
+    finished as its right child.  A meld that ends its chunk inside a
+    frame becomes that frame's left child.
     """
     text = text.strip()
-    n = len(text)
-    i = 0
-    pos = 1
+    if not text:
+        raise ValueError("empty meld text")
     frames: list[list] = []
-    while True:
-        while i < n and text[i] in _CLOSER:
-            frames.append([_CLOSER[text[i]], None])
-            i += 1
-        j = i
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == i:
-            raise ValueError("expected a value" if i < n else "empty meld text")
-        node = Meld.leaf(int(text[i:j]), pos)
+    pos = 0
+    for chunk in text.split(" "):
+        if pos and not frames:
+            raise ValueError(f"trailing input: {chunk!r}")
+        leaf = _LEAF.fullmatch(chunk)
+        if leaf is None:
+            raise ValueError(f"expected brackets around a value, got {chunk!r}")
+        opens, digits, closes = leaf.groups()
         pos += 1
-        i = j
-        while frames and frames[-1][1] is not None:
+        lo = hi = int(digits)
+        node = _new(Meld, (lo, hi, pos, pos, None, None, None))
+        for c in opens:
+            frames.append([_CLOSER[c], None])
+        for c in closes:
+            if not frames or frames[-1][1] is None:
+                raise ValueError(f"unexpected {c!r} in {chunk!r}")
             close, left = frames.pop()
-            if text[i : i + 1] != close:
-                raise ValueError(f"expected {close!r}")
-            i += 1
-            node = Meld.merge(left, node)
-            if node.kind is not _KIND_OF_CLOSER[close]:
-                raise ValueError("bracket kind does not match the value intervals")
-        if not frames:
-            break
-        if text[i : i + 1] != " ":
-            raise ValueError("expected space between siblings")
-        frames[-1][1] = node
-        i += 1
-    if i < n:
-        raise ValueError(f"trailing input: {text[i:]!r}")
+            if c != close:
+                raise ValueError(f"expected {close!r}, got {c!r}")
+            if c == ")" and left[1] + 1 == lo:
+                lo, kind = left[0], _ROUND
+            elif c == "]" and hi + 1 == left[0]:
+                hi, kind = left[1], _SQUARE
+            else:
+                raise ValueError(
+                    f"{c!r} cannot join values {left[0]}..{left[1]} and {lo}..{hi}"
+                )
+            node = _new(Meld, (lo, hi, left[2], pos, kind, left, node))
+        if frames:
+            if frames[-1][1] is not None:
+                raise ValueError(f"expected {frames[-1][0]!r} after {chunk!r}")
+            frames[-1][1] = node
+    if frames:
+        raise ValueError("unclosed bracket")
     return node
 
 

@@ -35,6 +35,10 @@ def check_permutation(values: Sequence[int]) -> Word:
     n = len(p)
     if n == 0:
         raise ValueError("empty permutation")
+    # Accept through builtins that loop in C; the loop below only names
+    # the first fault (and accepts int subclasses other than bool).
+    if set(map(type, p)) == {int} and min(p) == 1 and max(p) == n and len(set(p)) == n:
+        return p
     seen = set()
     for v in p:
         if isinstance(v, bool) or not isinstance(v, int):
@@ -83,12 +87,15 @@ def parse_permutation(text: str) -> Word:
                 "use spaces or commas as separators"
             )
         return check_permutation(tuple(int(ch) for ch in tok))
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"not a number: {tok!r}") from None
+    try:
+        values = tuple(map(int, tokens))
+    except ValueError:  # name the first token int() rejects
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise ValueError(f"not a number: {tok!r}") from None
+        raise
     return check_permutation(values)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -23,6 +24,25 @@ from percoperm.percolation import final_configuration
 from percoperm.perm import comps, is_indecomposable, reduced, reverse
 
 
+def field_leaf(value, pos):
+    return Meld(lo=value, hi=value, start=pos, end=pos)
+
+
+def field_merge(a, b):
+    """The merge of position-adjacent melds a, b, built field by field.
+
+    The oracles below build their trees with this and ``field_leaf``,
+    through the NamedTuple constructor, so they share no constructor
+    with the code they check.
+    """
+    assert a.end + 1 == b.start
+    if a.hi + 1 == b.lo:
+        return Meld(lo=a.lo, hi=b.hi, start=a.start, end=b.end, kind=Kind.ROUND, left=a, right=b)
+    if b.hi + 1 == a.lo:
+        return Meld(lo=b.lo, hi=a.hi, start=a.start, end=b.end, kind=Kind.SQUARE, left=a, right=b)
+    raise ValueError("meld values do not form a consecutive interval")
+
+
 def restart_scan_merge(p, direction):
     """Reference left/right merging: the literal restart-scan loop.
 
@@ -31,7 +51,7 @@ def restart_scan_merge(p, direction):
     pair found, and restarts the scan; termination is a pass with no
     merge.  Quadratic, so only for cross-checking merge_run.
     """
-    melds = [Meld.leaf(v, i) for i, v in enumerate(p, 1)]
+    melds = [field_leaf(v, i) for i, v in enumerate(p, 1)]
     while True:
         pairs = range(len(melds) - 1)
         if direction == "right":
@@ -39,10 +59,79 @@ def restart_scan_merge(p, direction):
         for i in pairs:
             a, b = melds[i], melds[i + 1]
             if a.hi + 1 == b.lo or b.hi + 1 == a.lo:
-                melds[i : i + 2] = [Meld.merge(a, b)]
+                melds[i : i + 2] = [field_merge(a, b)]
                 break
         else:
             return melds
+
+
+_CLOSER = {"(": ")", "[": "]"}
+_KIND_OF_CLOSER = {")": Kind.ROUND, "]": Kind.SQUARE}
+
+
+def char_walk_parse(text):
+    """Reference parser: one left-to-right walk over the characters.
+
+    Each open bracket pushes a frame [closing bracket, left child]; a
+    finished meld either becomes the left child of the innermost frame
+    (a space must follow) or, as its right child, completes it (its
+    closing bracket must follow).  A value is any run of digits, so this
+    reads leaves such as "01" and "0" that parse_meld rejects.
+    """
+    text = text.strip()
+    n = len(text)
+    i = 0
+    pos = 1
+    frames = []
+    while True:
+        while i < n and text[i] in _CLOSER:
+            frames.append([_CLOSER[text[i]], None])
+            i += 1
+        j = i
+        while j < n and text[j].isdigit():
+            j += 1
+        if j == i:
+            raise ValueError("expected a value" if i < n else "empty meld text")
+        node = field_leaf(int(text[i:j]), pos)
+        pos += 1
+        i = j
+        while frames and frames[-1][1] is not None:
+            close, left = frames.pop()
+            if text[i : i + 1] != close:
+                raise ValueError(f"expected {close!r}")
+            i += 1
+            node = field_merge(left, node)
+            if node.kind is not _KIND_OF_CLOSER[close]:
+                raise ValueError("bracket kind does not match the value intervals")
+        if not frames:
+            break
+        if text[i : i + 1] != " ":
+            raise ValueError("expected space between siblings")
+        frames[-1][1] = node
+        i += 1
+    if i < n:
+        raise ValueError(f"trailing input: {text[i:]!r}")
+    return node
+
+
+# A digit run that starts with 0: a leaf outside parse_meld's grammar.
+_ZERO_LEAF = re.compile(r"(?<![0-9])0")
+
+
+def assert_parses_like_char_walk(text):
+    """parse_meld gives the oracle's tree, or raises where the oracle does.
+
+    Where a leaf starts with 0 parse_meld must raise, whatever the oracle does.
+    """
+    try:
+        expected = char_walk_parse(text)
+    except ValueError:
+        expected = None
+    if expected is None or _ZERO_LEAF.search(text):
+        with pytest.raises(ValueError):
+            parse_meld(text)
+    else:
+        assert parse_meld(text) == expected, text
 
 
 def assert_matches_restart_scan(p, direction):
@@ -126,6 +215,61 @@ class TestParseMeld:
     def test_rejects_non_consecutive(self):
         with pytest.raises(ValueError):
             parse_meld("(1 3)")
+
+    @pytest.mark.parametrize("text", ["(01 2)", "(0 1)", "0", "[2 01]", "(1 \u0662)"])
+    def test_rejects_values_serialize_never_prints(self, text):
+        with pytest.raises(ValueError):
+            parse_meld(text)
+
+    # Longer than the exhaustive test below reaches, or off its alphabet.
+    @pytest.mark.parametrize("text", [
+        "(1\t2)", "((1 2) 3", "(1 2) 3", "(1 [2 3)]", "(1 2 3)", "((1 2) [4 3]", "(1 2)x",
+    ])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            parse_meld(text)
+        with pytest.raises(ValueError):
+            char_walk_parse(text)
+
+    def test_strips_outer_whitespace(self):
+        assert serialize_meld(parse_meld(" \n(1 2)\t")) == "(1 2)"
+
+
+def test_parse_meld_matches_char_walk_up_to_six_characters():
+    for length in range(7):
+        for chars in itertools.product("()[] 123", repeat=length):
+            assert_parses_like_char_walk("".join(chars))
+
+
+@st.composite
+def edited_bracketings(draw):
+    """The serialized left or right merge of a permutation up to n = 200,
+    with one character inserted, deleted or replaced."""
+    p = draw(st.one_of(any_perms, separable_perms()))
+    melds = merge_run(p, draw(st.sampled_from(["left", "right"]))).melds
+    text = serialize_meld(draw(st.sampled_from(melds)))
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from("()[] 0123456789"))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        return text[:i] + char + text[i:]
+    if edit == "delete":
+        return text[:i] + text[i + 1:]
+    return text[:i] + char + text[i + 1:]
+
+
+@settings(deadline=None)
+@given(edited_bracketings())
+def test_parse_meld_matches_char_walk_on_edited_strings(text):
+    assert_parses_like_char_walk(text)
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+def test_parse_inverts_serialize_exhaustive(direction):
+    for n in range(1, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            m = merge_run(p, direction).melds[0]
+            assert parse_meld(serialize_meld(m)) == m
 
 
 class TestTopLevelKind:

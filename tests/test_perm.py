@@ -1,3 +1,4 @@
+import enum
 import itertools
 
 import pytest
@@ -55,6 +56,76 @@ class TestParse:
     def test_format_roundtrip(self):
         p = (3, 1, 2, 6, 4, 5, 7, 9, 8)
         assert parse_permutation(format_permutation(p)) == p
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+# (values, exact message).  With several faults, the first one in order is named.
+CHECK_PERMUTATION_ERRORS = [
+    ((), "empty permutation"),
+    ((True,), "value True is not an integer"),
+    ((1.0,), "value 1.0 is not an integer"),
+    (("1",), "value '1' is not an integer"),
+    ((1, 3), "value 3 out of range 1..2"),
+    ((0, 1), "value 0 out of range 1..2"),
+    ((2, 2), "duplicate value 2"),
+    ((1, 1, 9), "duplicate value 1"),
+    ((9, 1, 1), "value 9 out of range 1..3"),
+    ((2, 2, "x"), "duplicate value 2"),
+    (("x", 9, 9), "value 'x' is not an integer"),
+    ((3, True, 3), "value True is not an integer"),
+    ((1, 2, 1.0), "value 1.0 is not an integer"),
+    ((Small.TWO, 5, Small.TWO), "value 5 out of range 1..3"),
+]
+
+
+@pytest.mark.parametrize("values, message", CHECK_PERMUTATION_ERRORS)
+def test_check_permutation_names_the_first_fault(values, message):
+    with pytest.raises(ValueError) as excinfo:
+        check_permutation(values)
+    assert str(excinfo.value) == message
+
+
+def test_check_permutation_accepts_int_subclasses():
+    p = check_permutation([Small.TWO, Small.ONE])
+    assert p == (2, 1)
+    assert [type(v) for v in p] == [Small, Small]
+
+
+PARSE_PERMUTATION_ERRORS = [
+    ("", "empty input"),
+    (" , ", "empty input"),
+    ("x", "not a number: 'x'"),
+    ("1 x 2", "not a number: 'x'"),
+    ("1 x y", "not a number: 'x'"),
+    ("2 1.0 x", "not a number: '1.0'"),
+    ("1 2 x 9", "not a number: 'x'"),
+    ("1 2 2 x", "not a number: 'x'"),
+    ("21x", "not a number: '21x'"),
+    ("1_0", "not a number: '1_0'"),
+    ("1 2 4", "value 4 out of range 1..3"),
+    ("2 2 1", "duplicate value 2"),
+    ("0 1", "value 0 out of range 1..2"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_PERMUTATION_ERRORS)
+def test_parse_permutation_names_the_first_fault(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        parse_permutation(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1 2 3 4 5 6 7 8 9 1_0", tuple(range(1, 11))),
+    ("+2 01", (2, 1)),
+    ("\u0662 1", (2, 1)),
+])
+def test_parse_permutation_reads_tokens_as_int_does(text, expected):
+    assert parse_permutation(text) == expected
 
 
 class TestReduced:
