@@ -21,9 +21,9 @@ from .perm import parse_permutation
 # every k <= N, about N^3 work in all: 0.1 s at N = 50, 0.7 s at N = 100 and
 # 6 s at N = 200 (Python 3.11, one core).  50 keeps every sequence near 0.1 s.
 SEQUENCE_MAX = 50
-# verify 10 takes about 1.5 s with its counts on a pool of 2 vCPUs (2.4 s on
-# one core, Python 3.11); n = 11 adds a count of S_11, about 6.4 s more on
-# the pool and 13 s serially.
+# verify 10 takes 0.7-1.1 s from a shell with its counts on a pool of 2 vCPUs
+# (0.9-1.0 s on one core, Python 3.11); n = 11 adds a count of S_11, about
+# 3.5 s more on the pool and 5.4 s serially.
 VERIFY_MAX_N = 10
 
 
@@ -116,7 +116,10 @@ def cmd_bracket(perm: str, direction: str, fmt: str) -> None:
     """Print the final bracketing(s) of PERM, one meld per line."""
     p = _parse_perm_arg(perm)
     if direction == "eager":
-        outcome = melds.merge_eager(p)
+        try:
+            outcome = melds.merge_eager(p)
+        except ValueError as exc:
+            _fail(str(exc))
     else:
         outcome = melds.merge_run(p, direction)
     strings = [melds.serialize_meld(m) for m in outcome.melds]
@@ -224,7 +227,8 @@ def _verify_checks(n: int):
 def cmd_verify(n: int) -> None:
     """Run the cross-validation suites up to size N and report PASS/FAIL.
 
-    A failing check names its first failing size and both sides there.
+    A failing check names its first failing size and both sides there; a
+    check that starts above N reports SKIP.
     """
     if not 1 <= n <= VERIFY_MAX_N:
         _fail(f"n must be in 1..{VERIFY_MAX_N}")
@@ -234,6 +238,9 @@ def cmd_verify(n: int) -> None:
         _fail(str(exc))
     failed = False
     for name, start, check in checks:
+        if start > n:
+            click.echo(f"SKIP {name}: needs n >= {start}")
+            continue
         for k in range(start, n + 1):
             detail = check(k)
             if detail is not None:

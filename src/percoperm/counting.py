@@ -4,16 +4,11 @@ Counts of full, full-indecomposable, and no-growth permutations, plus the
 factorial identity that cross-checks them.  One depth-first walk over the
 symmetry classes of S_n tallies every family asked for.  It fixes the
 first and last values of an orbit representative and adds the middle
-values one at a time.  Each prefix carries its left-merge stack of value
-intervals (a permutation is full iff the stack ends as one interval) and
-a flag that no adjacent difference so far is 1 (no-growth).  A child
-extends its parent's stack by one push.  A branch is dropped once the
-stack fails ``melds.can_collapse`` and the flag is off, either counting as
-off when its families are not asked for.  The last value takes no part in
-the cut, as merges happen before it arrives (1 3 5 4 2 is full).  Pruning
-skips only permutations that count in no family asked for, so the walk
-stays brute force; its agreement with the cell-level definitions is
-property-tested elsewhere.
+values one at a time, carrying what each family needs of the prefix
+(see ``_walk``).  A branch is cut once no family asked for can still
+hold it.  Pruning skips only permutations that count in no family asked
+for, so the walk stays brute force; its agreement with the cell-level
+definitions is property-tested elsewhere.
 
 ``count_table``, behind both ``count`` and ``verify``, picks its own
 process pool for the sizes from PARALLEL_MIN_N up, over which it spreads
@@ -35,8 +30,10 @@ The representatives are one or two permutations per orbit of the group
   and no-growth are constant on an orbit.  Indecomposability is kept by
   rc, which maps the direct sum of a and b to that of rc(b) and rc(a),
   but not by r.  As c(w) = rc(r(w)), the orbit of w holds weight/2 *
-  (indecomposable(w) + indecomposable(r(w))) indecomposables per visit:
-  q reads both w and its reversal and never assumes the half lemma.
+  (indecomposable(w) + indecomposable(r(w))) indecomposables per visit.
+  A direct sum starts below where it ends, so r(w), which starts at l > f
+  and ends at f, is indecomposable.  w's indecomposability is read off
+  its prefixes: q never assumes the half lemma.
 """
 from __future__ import annotations
 
@@ -46,28 +43,25 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .melds import can_collapse, push_value
-from .perm import is_indecomposable
 from .series import compositions
 
 # The cost is the n! permutations, walked as about n!/4 orbit representatives
-# and pruned to the prefixes that can still be full or no-growth.  A serial
-# walk over all three families takes 1.6 s at n = 10 and 13 s at n = 11
-# (count_report(n, "all"), Python 3.11 on one core), about 8 times more per
-# size; count 12 --which all takes about 56 s on a pool of 2 vCPUs, and
-# count 11 7.5 s.
+# and pruned to the prefixes that can still be full or no-growth.  Serial
+# count_report(n, which) at n = 8, 9, 10, 11 (Python 3.11, one core): full
+# 0.014, 0.07, 0.32, 2.0 s; indec-full 0.014, 0.06, 0.28, 2.1 s; no-growth
+# 0.004, 0.04, 0.19, 3.2 s; all 0.018, 0.11, 0.50, 5.4 s, 4-11 times more per
+# size.  count 11 takes 3.7 s and count 12 27 s on a pool of 2 vCPUs.
 MAX_N = 12
-# verify_factorial_identity(10) brute-forces sizes 1..10 in about 1.5 s
+# verify_factorial_identity(10) brute-forces sizes 1..10 in about 0.85 s
 # (same machine); n = 11 would take about 8 times as long.
 FACTORIAL_IDENTITY_MAX_N = 10
 # count_table starts a process pool from this size up: below it a fresh pool
-# does not repay starting the workers for every family.  count_table(n, which)
-# with PERCOPERM_THREADS=2 on 2 vCPUs, serial against a fresh pool (medians
-# of 5 runs, three rounds): at n = 8, full 32-38 ms against 38-45 ms,
-# indec-full 54-63 against 51-59, no-growth 8-9 against 22-24 and all 62-66
-# against 52-60; at n = 9, full 125-192 against 109-133, indec-full 250-313
-# against 174-214, no-growth 49-72 against 44-58 and all 318-376 against
-# 227-239.  At n = 10 the pool takes all from 2.1 s to 1.2-1.3 s.
+# does not repay starting the workers.  count_table(n, which) on 2 vCPUs,
+# PERCOPERM_THREADS=1 against a fresh pool of 2 (medians of 7 runs): at n = 8,
+# full 21 ms against 37, indec-full 22 against 38, no-growth 6 against 22 and
+# all 18 against 39; at n = 9, full 81 against 122, indec-full 59 against 70,
+# no-growth 25 against 30, all 83 against 68.  At n = 10 the pool takes
+# count 10 (all) from 0.9-1.1 s to 0.5-0.6 s from a shell.
 PARALLEL_MIN_N = 9
 
 __all__ = [
@@ -146,42 +140,92 @@ def _walk(n: int, pair: tuple[int, int], want: tuple[bool, bool, bool]) -> tuple
 
     Families not in ``want`` read 0, except p, which is counted whenever q
     is: q is tested only on full permutations.
+
+    ``extend`` places one value v in place, calling no helper: a call
+    costs more than the few steps it would wrap.  It pushes v onto the
+    parent's left-merge stack without a copy, moving an index k down while
+    the value intervals abut; w is full iff the stack ends as one interval.
+    Only a child that survives the cut gets its own stack, ``stack[:k]``
+    and its new top.  The last value takes no part in the cut, as merges
+    happen before it arrives (1 3 5 4 2 is full); it is pushed without a
+    copy, and p counts when k reaches 0.
+
+    The cut drops a stack with an interval I inside the hull of those
+    above it.  It is sound: I only ever merges with the one meld T above
+    it, by which time T holds every interval above I, and T's values are
+    contiguous and disjoint from I.  On a stack that passes, each I lies
+    below or above that hull and keeps its side as the hull grows, so a
+    push puts I inside iff v lies beyond I on its side.  Each entry (lo,
+    hi, below, above) carries the open window that passes every interval
+    under it: ``below`` is the lo of the nearest one under it that lies
+    below (those further down lie lower still), ``above`` the hi of the
+    nearest that lies above.  v survives iff it lies in the window of
+    ``stack[k - 1]``, the highest entry it leaves in place and itself
+    outside the merged interval; the bottom entry's window is 0..n+1.
+
+    For q a prefix carries its max ``peak`` and a flag ``dec``, set once a
+    proper prefix j has max j: it holds 1..j, so w is decomposable.  A full
+    w adds ``(not dec) + 1``, as r(w) is indecomposable (see the module
+    docstring).  A child cut with its no-growth flag on goes on in
+    ``lean``, which keeps only the free values and the last one placed;
+    ``no-growth`` alone starts there.
     """
     first, last = pair
     want_p, want_q, want_a = want
-    word = [first] * (n - 1) + [last]  # the middle is filled in as the walk goes
     p = q = a = 0
 
-    def extend(depth, free, stack, no_growth):
-        # stack is None once it cannot collapse or p and q are not wanted.
-        nonlocal p, q, a
-        prev = word[depth - 1]
+    def lean(free, prev):
+        nonlocal a
         if not free:
-            a += no_growth and abs(prev - last) != 1
-            if stack is not None:
-                push_value(stack, last)
-                if len(stack) == 1:
-                    p += 1
-                    if want_q:
-                        w = tuple(word)
-                        q += is_indecomposable(w) + is_indecomposable(w[::-1])
+            a += abs(prev - last) != 1
             return
         for i, v in enumerate(free):
-            flat = no_growth and abs(v - prev) != 1
-            merged = None
-            if stack is not None:
-                merged = stack.copy()
-                push_value(merged, v)
-                if not can_collapse(merged):
-                    merged = None
-            if flat or merged is not None:
-                word[depth] = v
-                extend(depth + 1, free[:i] + free[i + 1 :], merged, flat)
+            if abs(v - prev) != 1:
+                lean(free[:i] + free[i + 1 :], v)
+
+    def extend(depth, free, stack, prev, flat, peak, dec):
+        nonlocal p, q, a
+        if not free:
+            a += flat and abs(prev - last) != 1
+            lo = hi = last
+            for l2, h2, _, _ in reversed(stack):
+                if h2 + 1 == lo:
+                    lo = l2
+                elif hi + 1 == l2:
+                    hi = h2
+                else:
+                    return
+            p += 1
+            q += (not dec) + 1
+            return
+        d1 = depth + 1
+        for i, v in enumerate(free):
+            lo = hi = v
+            k = len(stack)
+            while k:
+                l2, h2, below, above = stack[k - 1]
+                if h2 + 1 == lo:
+                    lo = l2
+                elif hi + 1 == l2:
+                    hi = h2
+                else:
+                    break
+                k -= 1
+            if below < v < above:
+                pk = peak if peak > v else v
+                entry = (lo, hi, l2 if h2 < lo else below, h2 if l2 > hi else above)
+                extend(d1, free[:i] + free[i + 1 :], stack[:k] + [entry], v,
+                       flat and abs(v - prev) != 1, pk, dec or pk == d1)
+            elif flat and abs(v - prev) != 1:
+                lean(free[:i] + free[i + 1 :], v)
 
     rest = tuple(v for v in range(1, n + 1) if v != first and v != last)
-    extend(1, rest, [(first, first)] if want_p or want_q else None, want_a)
+    if want_p or want_q:
+        extend(1, rest, [(first, first, 0, n + 1)], first, want_a, first, first == 1)
+    else:
+        lean(rest, first)
     weight = 4 if first + last < n + 1 else 2
-    return weight * p, weight // 2 * q, weight * a
+    return weight * p, weight // 2 * q if want_q else 0, weight * a
 
 
 def _tally(n: int, want: tuple[bool, bool, bool], pool=None) -> tuple[int, int, int]:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import percoperm
 from percoperm import counting, percolation, series
 from percoperm.cli import SEQUENCE_MAX, VERIFY_MAX_N, main
-from percoperm.melds import merge_run, serialize_meld
+from percoperm.melds import EAGER_MAX_N, merge_run, serialize_meld
 from test_melds import DEEP_PERMS
 
 
@@ -99,6 +99,14 @@ class TestBracket:
     def test_eager(self):
         result = run("bracket", "4231", "--eager")
         assert result.output == "[4 [(2 3) 1]]\n"
+
+    def test_eager_size_gate(self):
+        n = EAGER_MAX_N
+        result = run("bracket", "-", "--eager", input=" ".join(map(str, range(n, 0, -1))))
+        assert result.exit_code == 0 and result.output.count("\n") == 1
+        result = run("bracket", "-", "--eager", input=" ".join(map(str, range(n + 1, 0, -1))))
+        assert result.exit_code == 2
+        assert result.output == f"Error: eager merging is limited to n <= {n}, got n = {n + 1}\n"
 
     def test_non_full_lists_melds(self):
         result = run("bracket", "2413")
@@ -222,7 +230,12 @@ class TestVerify:
     def test_n1(self):
         result = run("verify", "1")
         assert result.exit_code == 0
-        assert all(line.startswith("PASS") for line in result.output.splitlines())
+        assert result.output.splitlines() == [
+            "PASS factorial-identity n=1..1",
+            "SKIP half-lemma: needs n >= 2",
+            "PASS schroeder-agreement n=1..1",
+            "PASS kings-four-way n=1..1",
+        ]
 
     def test_invalid_n_exit_2(self):
         assert run("verify", "0").exit_code == 2

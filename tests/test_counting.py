@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -62,6 +63,39 @@ def pair_walk(n, pair, want):
     return weight * p, weight // 2 * q, weight * a
 
 
+def visited_prefixes(n, pair, want):
+    """The prefixes ``counting._walk`` places on a merge stack, read off its recursion.
+
+    Each call of the nested ``extend`` places one value, ``prev``; the
+    chain of ``extend`` frames above a call spells its prefix.
+    """
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "extend":
+            prefix = []
+            while frame.f_code.co_name == "extend":
+                prefix.append(frame.f_locals["prev"])
+                frame = frame.f_back
+            seen.add(tuple(reversed(prefix)))
+
+    sys.setprofile(profile)
+    try:
+        counting._walk(n, pair, want)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def has_non_separable_pattern(w):
+    """True when w contains 2413 or 3142, which no full permutation does."""
+    for idx in itertools.combinations(range(len(w)), 4):
+        a, b, c, d = (w[i] for i in idx)
+        if c < a < d < b or b < d < a < c:
+            return True
+    return False
+
+
 def reverse(w):
     return w[::-1]
 
@@ -84,6 +118,8 @@ class TestOrbitWalk:
                 assert merge_run(image).full == merge_run(w).full
                 assert _is_no_growth(image) == _is_no_growth(w)
             assert is_indecomposable(reverse(complement(w))) == is_indecomposable(w)
+            # the walk adds 1 to q for r(w) of every full representative w
+            assert w[0] > w[-1] or is_indecomposable(reverse(w))
 
     @pytest.mark.parametrize("family", sorted(counting._FAMILIES))
     @pytest.mark.parametrize(
@@ -92,6 +128,35 @@ class TestOrbitWalk:
     def test_pruned_walk_matches_pair_walk(self, n, pair, family):
         want = counting._FAMILIES[family]
         assert counting._walk(n, pair, want) == pair_walk(n, pair, want)
+
+    @pytest.mark.parametrize("pair", counting._pairs(9))
+    def test_pruned_walk_matches_pair_walk_at_every_pair(self, pair):
+        want = counting._FAMILIES["all"]
+        assert counting._walk(9, pair, want) == pair_walk(9, pair, want)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_walk_keeps_every_prefix_of_a_full_permutation(self, n):
+        for pair in counting._pairs(n):
+            first, last = pair
+            rest = [v for v in range(1, n + 1) if v not in pair]
+            prefixes = set()
+            for mid in itertools.permutations(rest):
+                w = (first, *mid, last)
+                if merge_run(w).full:
+                    prefixes.update(w[:d] for d in range(1, n))
+            assert prefixes <= visited_prefixes(n, pair, counting._FAMILIES["full"]), pair
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_walk_cuts_the_non_separable_patterns(self, n):
+        for pair in counting._pairs(n):
+            visited = visited_prefixes(n, pair, counting._FAMILIES["full"])
+            assert not any(map(has_non_separable_pattern, visited)), pair
+
+    # 2413 and 3142 (as 5 3 6 4) lose their prefix at the third value of the pattern
+    @pytest.mark.parametrize("n, pair, prefix", [(4, (2, 3), (2, 4, 1)), (6, (1, 2), (1, 5, 3, 6))])
+    def test_walk_cuts_a_pattern_at_its_third_value(self, n, pair, prefix):
+        visited = visited_prefixes(n, pair, counting._FAMILIES["full"])
+        assert prefix[:-1] in visited and prefix not in visited
 
     def test_pairs(self):
         for n in range(1, MAX_N + 1):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from percoperm.cli import main
 from percoperm.melds import (
+    EAGER_MAX_N,
     Kind,
     Meld,
-    can_collapse,
     components_via_bracketing,
     merge_eager,
     merge_run,
     parse_meld,
-    push_value,
     serialize_meld,
     top_level_kind,
 )
@@ -180,6 +179,11 @@ class TestEager:
     def test_21(self):
         assert serialize_meld(merge_eager((2, 1)).melds[0]) == "[2 1]"
         assert serialize_meld(merge_run((2, 1), "left").melds[0]) == "[2 1]"
+
+    def test_size_gate(self):
+        assert merge_eager(range(EAGER_MAX_N, 0, -1)).full
+        with pytest.raises(ValueError, match=f"n <= {EAGER_MAX_N}"):
+            merge_eager(range(EAGER_MAX_N + 1, 0, -1))
 
 
 def test_merging_builds_no_grid_tiles(monkeypatch):
@@ -375,25 +379,6 @@ def test_structural_suite(n):
             rev_left = merge_run(reverse(p), "left")
             assert shape(rev_left.melds[0]) == mirrored(right.melds[0])
         assert left.full == all(merge_run(reduced(f)).full for f in comps(p))
-
-
-def test_every_prefix_of_a_full_permutation_can_collapse():
-    for n in range(1, 9):
-        for p in itertools.permutations(range(1, n + 1)):
-            if not merge_run(p).full:
-                continue
-            stack = []
-            for a in p:
-                push_value(stack, a)
-                assert can_collapse(stack), (p, stack)
-
-
-@pytest.mark.parametrize("p", [(2, 4, 1, 3), (3, 1, 4, 2)])
-def test_cut_rejects_the_non_separable_patterns(p):
-    stack = []
-    for i, a in enumerate(p, 1):
-        push_value(stack, a)
-        assert can_collapse(stack) == (i < 3), stack
 
 
 @pytest.mark.parametrize("n", range(1, 9))
