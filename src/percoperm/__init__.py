@@ -46,7 +46,6 @@ from .counting import (
     count_full,
     count_full_indecomposable,
     count_no_growth,
-    verify_factorial_identity,
 )
 from .series import (
     Series,

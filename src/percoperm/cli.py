@@ -21,10 +21,16 @@ from .perm import parse_permutation
 # every k <= N, about N^3 work in all: 0.1 s at N = 50, 0.7 s at N = 100 and
 # 6 s at N = 200 (Python 3.11, one core).  50 keeps every sequence near 0.1 s.
 SEQUENCE_MAX = 50
-# verify 10 takes 0.7-1.1 s from a shell with its counts on a pool of 2 vCPUs
-# (0.9-1.0 s on one core, Python 3.11); n = 11 adds a count of S_11, about
-# 3.5 s more on the pool and 5.4 s serially.
-VERIFY_MAX_N = 10
+# A full percolation takes about n^2 steps, each paying a worklist insert,
+# and the trace keeps every step.  percolate --format json on full inputs
+# (identity, reverse, odd values up then even down) at n = 400 takes
+# 0.55-0.8 s and at n = 500 0.8-1.4 s with 115 MB peak RSS (Python 3.11,
+# one core); n = 800 takes about 3 s and 268 MB.
+PERCOLATE_MAX_N = 500
+# The plain trace prints one n x n frame per step, n^4 characters in all: on
+# the same inputs 16 MB at n = 64 and 40 MB in 0.2-0.3 s with 137 MB peak
+# RSS at n = 80; n = 100 prints 100 MB and peaks at 306 MB.
+PLAIN_TRACE_MAX_N = 80
 
 
 def _fail(message: str) -> NoReturn:
@@ -76,6 +82,11 @@ def main() -> None:
 def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: str) -> None:
     """Percolate PERM to completion and print the trace."""
     p = _parse_perm_arg(perm)
+    if len(p) > PERCOLATE_MAX_N:
+        _fail(f"percolate is limited to n <= {PERCOLATE_MAX_N}, got n = {len(p)}")
+    if fmt == "plain" and len(p) > PLAIN_TRACE_MAX_N:
+        _fail(f"the plain trace is limited to n <= {PLAIN_TRACE_MAX_N}, got n = {len(p)}; "
+              "use --format json")
     cells = None
     if script is not None:
         if policy != "scripted":
@@ -183,45 +194,6 @@ def cmd_count(n: int, which: str, fmt: str) -> None:
             click.echo(" ".join(parts))
 
 
-def _verify_checks(n: int):
-    """(name, first size, check) triples for sizes up to n.
-
-    ``check(k)`` is None when size k passes, else both sides of the failed
-    comparison.  Each size 1..n is enumerated once, and every check reads
-    those counts.
-    """
-    p, q, a = {}, {}, {}
-    for r in counting.count_table(n, "all"):
-        p[r.n], q[r.n], a[r.n] = r.p_n, r.q_n, r.a_n
-    kings = series.a_via_series(n)
-
-    def factorial_identity(k):
-        lhs, rhs = counting._factorial_identity(k, p, a)
-        return None if lhs == rhs else f"n!={lhs} sum={rhs}"
-
-    def half_lemma(k):
-        return None if 2 * q[k] == p[k] else f"2*q={2 * q[k]} p={p[k]}"
-
-    def schroeder_agreement(k):
-        large, little = series.schroeder_large(k - 1), series.schroeder_little(k - 1)
-        if (p[k], q[k]) == (large, little):
-            return None
-        return f"p={p[k]} S_{k - 1}={large} q={q[k]} s_{k - 1}={little}"
-
-    def kings_four_way(k):
-        values = (a[k], series.a_formula(k), series.a_abramson_moser(k), kings[k])
-        if len(set(values)) == 1:
-            return None
-        return "a={} formula={} abramson-moser={} series={}".format(*values)
-
-    return [
-        ("factorial-identity", 1, factorial_identity),
-        ("half-lemma", 2, half_lemma),
-        ("schroeder-agreement", 1, schroeder_agreement),
-        ("kings-four-way", 1, kings_four_way),
-    ]
-
-
 @main.command("verify")
 @click.argument("n", type=int)
 def cmd_verify(n: int) -> None:
@@ -230,26 +202,18 @@ def cmd_verify(n: int) -> None:
     A failing check names its first failing size and both sides there; a
     check that starts above N reports SKIP.
     """
-    if not 1 <= n <= VERIFY_MAX_N:
-        _fail(f"n must be in 1..{VERIFY_MAX_N}")
     try:
-        checks = _verify_checks(n)
+        results = counting.verify(n)
     except ValueError as exc:
         _fail(str(exc))
-    failed = False
-    for name, start, check in checks:
+    for name, start, failure in results:
         if start > n:
             click.echo(f"SKIP {name}: needs n >= {start}")
-            continue
-        for k in range(start, n + 1):
-            detail = check(k)
-            if detail is not None:
-                click.echo(f"FAIL {name} n={k}: {detail}")
-                failed = True
-                break
-        else:
+        elif failure is None:
             click.echo(f"PASS {name} n={start}..{n}")
-    if failed:
+        else:
+            click.echo(f"FAIL {name} n={failure[0]}: {failure[1]}")
+    if any(failure for _, _, failure in results):
         sys.exit(1)
 
 

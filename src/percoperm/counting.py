@@ -1,14 +1,14 @@
 """Brute-force counts over the symmetric group.
 
-Counts of full, full-indecomposable, and no-growth permutations, plus the
-factorial identity that cross-checks them.  One depth-first walk over the
-symmetry classes of S_n tallies every family asked for.  It fixes the
-first and last values of an orbit representative and adds the middle
-values one at a time, carrying what each family needs of the prefix
-(see ``_walk``).  A branch is cut once no family asked for can still
-hold it.  Pruning skips only permutations that count in no family asked
-for, so the walk stays brute force; its agreement with the cell-level
-definitions is property-tested elsewhere.
+Counts of full, full-indecomposable, and no-growth permutations, plus
+``verify``, the four checks that cross-validate them.  One depth-first
+walk over the symmetry classes of S_n tallies every family asked for.
+It fixes the first and last values of an orbit representative and adds
+the middle values one at a time, carrying what each family needs of the
+prefix (see ``_walk``).  A branch is cut once no family asked for can
+still hold it.  Pruning skips only permutations that count in no family
+asked for, so the walk stays brute force; its agreement with the
+cell-level definitions is property-tested elsewhere.
 
 ``count_table``, behind both ``count`` and ``verify``, picks its own
 process pool for the sizes from PARALLEL_MIN_N up, over which it spreads
@@ -43,18 +43,18 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .series import compositions
+from . import series
 
 # The cost is the n! permutations, walked as about n!/4 orbit representatives
 # and pruned to the prefixes that can still be full or no-growth.  Serial
 # count_report(n, which) at n = 8, 9, 10, 11 (Python 3.11, one core): full
 # 0.014, 0.07, 0.32, 2.0 s; indec-full 0.014, 0.06, 0.28, 2.1 s; no-growth
 # 0.004, 0.04, 0.19, 3.2 s; all 0.018, 0.11, 0.50, 5.4 s, 4-11 times more per
-# size.  count 11 takes 3.7 s and count 12 27 s on a pool of 2 vCPUs.
+# size.  From a shell on a pool of 2 vCPUs, count 11 takes 3.0-3.7 s and
+# count 12 17-27 s.  verify(n) counts through count_table(n, "all"), so this
+# gate is its gate too: verify 10 takes 1.2 s, verify 11 2.4 s (4.1 s with
+# PERCOPERM_THREADS=1) and verify 12 19 s.
 MAX_N = 12
-# verify_factorial_identity(10) brute-forces sizes 1..10 in about 0.85 s
-# (same machine); n = 11 would take about 8 times as long.
-FACTORIAL_IDENTITY_MAX_N = 10
 # count_table starts a process pool from this size up: below it a fresh pool
 # does not repay starting the workers.  count_table(n, which) on 2 vCPUs,
 # PERCOPERM_THREADS=1 against a fresh pool of 2 (medians of 7 runs): at n = 8,
@@ -66,14 +66,13 @@ PARALLEL_MIN_N = 9
 
 __all__ = [
     "MAX_N",
-    "FACTORIAL_IDENTITY_MAX_N",
     "PARALLEL_MIN_N",
     "CountReport",
     "count_table",
     "count_full",
     "count_full_indecomposable",
     "count_no_growth",
-    "verify_factorial_identity",
+    "verify",
     "max_workers",
 ]
 
@@ -268,22 +267,9 @@ def _factorial_identity(n: int, p, a) -> tuple[int, int]:
     rhs = 0
     for m in range(1, n + 1):
         if a[m]:
-            rhs += a[m] * sum(math.prod(p[s] for s in parts) for parts in compositions(n, m))
+            tilings = series.compositions(n, m)
+            rhs += a[m] * sum(math.prod(p[s] for s in parts) for parts in tilings)
     return math.factorial(n), rhs
-
-
-def verify_factorial_identity(n: int) -> tuple[int, int]:
-    """Both sides of the composition identity counting all n! permutations.
-
-    The full and no-growth counts of the sizes 1..n are brute-forced, one
-    pass per size, and fed to ``_factorial_identity``.
-    """
-    if not 1 <= n <= FACTORIAL_IDENTITY_MAX_N:
-        raise ValueError(f"n must be in 1..{FACTORIAL_IDENTITY_MAX_N}, got {n}")
-    p, a = {}, {}
-    for k in range(1, n + 1):
-        p[k], _, a[k] = _tally(k, (True, False, True))
-    return _factorial_identity(n, p, a)
 
 
 def _want(which: str) -> tuple[bool, bool, bool]:
@@ -322,3 +308,47 @@ def count_table(n: int, which: str = "all") -> list[CountReport]:
         return [_report(k, want, None) for k in range(1, n + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [_report(k, want, pool if k >= PARALLEL_MIN_N else None) for k in range(1, n + 1)]
+
+
+def verify(n: int) -> list[tuple[str, int, tuple[int, str] | None]]:
+    """The paper's four cross-checks over the sizes 1..n: (name, first size, failure).
+
+    ``failure`` is None when every size from the first to n passes (or the
+    check starts above n), else ``(k, detail)`` for the first failing size
+    k, with both sides of the comparison in ``detail``.  The sizes 1..n are
+    counted once, by ``count_table(n, "all")``, whose range check applies.
+    """
+    p, q, a = {}, {}, {}
+    for r in count_table(n, "all"):
+        p[r.n], q[r.n], a[r.n] = r.p_n, r.q_n, r.a_n
+    kings = series.a_via_series(n)
+
+    def factorial_identity(k):
+        lhs, rhs = _factorial_identity(k, p, a)
+        return None if lhs == rhs else f"n!={lhs} sum={rhs}"
+
+    def half_lemma(k):
+        return None if 2 * q[k] == p[k] else f"2*q={2 * q[k]} p={p[k]}"
+
+    def schroeder_agreement(k):
+        large, little = series.schroeder_large(k - 1), series.schroeder_little(k - 1)
+        if (p[k], q[k]) == (large, little):
+            return None
+        return f"p={p[k]} S_{k - 1}={large} q={q[k]} s_{k - 1}={little}"
+
+    def kings_four_way(k):
+        values = (a[k], series.a_formula(k), series.a_abramson_moser(k), kings[k])
+        if len(set(values)) == 1:
+            return None
+        return "a={} formula={} abramson-moser={} series={}".format(*values)
+
+    results = []
+    for name, start, check in (
+        ("factorial-identity", 1, factorial_identity),
+        ("half-lemma", 2, half_lemma),
+        ("schroeder-agreement", 1, schroeder_agreement),
+        ("kings-four-way", 1, kings_four_way),
+    ):
+        found = ((k, detail) for k in range(start, n + 1) if (detail := check(k)) is not None)
+        results.append((name, start, next(found, None)))
+    return results

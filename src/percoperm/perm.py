@@ -79,7 +79,7 @@ def parse_permutation(text: str) -> Word:
         raise ValueError("empty input")
     if len(tokens) == 1 and len(tokens[0]) > 1:
         tok = tokens[0]
-        if not tok.isdigit():
+        if not tok.isdecimal():  # isdigit also passes '²', which int() rejects
             raise ValueError(f"not a number: {tok!r}")
         if len(tok) > 9:
             raise ValueError(

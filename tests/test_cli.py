@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import percoperm
 from percoperm import counting, percolation, series
-from percoperm.cli import SEQUENCE_MAX, VERIFY_MAX_N, main
+from percoperm.cli import PERCOLATE_MAX_N, PLAIN_TRACE_MAX_N, SEQUENCE_MAX, main
 from percoperm.melds import EAGER_MAX_N, merge_run, serialize_meld
 from test_melds import DEEP_PERMS
 
@@ -85,6 +85,20 @@ class TestPercolate:
             calls.clear()
             assert run("percolate", "1324", "--format", fmt).exit_code == 0
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt, gate", [("plain", PLAIN_TRACE_MAX_N), ("json", PERCOLATE_MAX_N)])
+    def test_size_gates(self, monkeypatch, fmt, gate):
+        def no_growth(n):  # even values up, then odd values up
+            return " ".join(map(str, [*range(2, n + 1, 2), *range(1, n + 1, 2)]))
+
+        result = run("percolate", "-", "--format", fmt, input=no_growth(gate))
+        assert result.exit_code == 0
+        assert result.output.endswith("no-growth\n" if fmt == "plain" else '"full": false}\n')
+        monkeypatch.setattr(percolation, "matrix_of", None)  # rejected before any grid is built
+        result = run("percolate", "-", "--format", fmt, input=no_growth(gate + 1))
+        assert result.exit_code == 2
+        assert result.output.startswith("Error: ")
+        assert f"limited to n <= {gate}, got n = {gate + 1}" in result.output
 
 
 class TestBracket:
@@ -239,7 +253,7 @@ class TestVerify:
 
     def test_invalid_n_exit_2(self):
         assert run("verify", "0").exit_code == 2
-        assert run("verify", str(VERIFY_MAX_N + 1)).exit_code == 2
+        assert run("verify", str(counting.MAX_N + 1)).exit_code == 2
 
     @pytest.mark.parametrize("module, name, wrong_at, failures", [
         (series, "schroeder_little", 6, {
@@ -323,6 +337,8 @@ class TestSequence:
 
 ERROR_CASES = [
     (("percolate", "2 2 1"), None),
+    (("percolate", " ".join(map(str, range(1, PLAIN_TRACE_MAX_N + 2)))), None),
+    (("percolate", " ".join(map(str, range(1, PERCOLATE_MAX_N + 2))), "--format", "json"), None),
     (("bracket", ""), None),
     (("comps", "1 3"), None),
     (("percolate", "213", "--policy", "scripted", "--script", "1,2,3"), None),
@@ -335,12 +351,17 @@ ERROR_CASES = [
     (("count", "7"), {"PERCOPERM_THREADS": "abc"}),
     (("verify", "7"), {"PERCOPERM_THREADS": "abc"}),
     (("verify", "0"), None),
-    (("verify", str(VERIFY_MAX_N + 1)), None),
+    (("verify", str(counting.MAX_N + 1)), None),
     (("sequence", "kings", str(SEQUENCE_MAX + 1)), None),
 ]
 
 
-@pytest.mark.parametrize("args, env", ERROR_CASES, ids=[" ".join(args) for args, _ in ERROR_CASES])
+def _case_id(args):
+    """The command line, with each long permutation as 1..n."""
+    return " ".join(a if len(a) < 40 else f"1..{len(a.split())}" for a in args)
+
+
+@pytest.mark.parametrize("args, env", ERROR_CASES, ids=[_case_id(args) for args, _ in ERROR_CASES])
 def test_error_is_one_stderr_line(args, env):
     result = run(*args, env=env)
     assert result.exit_code == 2

@@ -5,7 +5,6 @@ import pytest
 
 from percoperm import counting
 from percoperm.counting import (
-    FACTORIAL_IDENTITY_MAX_N,
     MAX_N,
     PARALLEL_MIN_N,
     CountReport,
@@ -14,7 +13,7 @@ from percoperm.counting import (
     count_no_growth,
     count_report,
     count_table,
-    verify_factorial_identity,
+    verify,
 )
 from percoperm.melds import merge_run
 from percoperm.percolation import is_full, matrix_of, mutable_cells
@@ -278,21 +277,65 @@ def test_recursion_for_full_counts():
         assert p[n + 2] == rhs
 
 
+def _rows(n):
+    return {name: (start, failure) for name, start, failure in verify(n)}
+
+
 class TestFactorialIdentity:
     def test_n4(self):
-        assert verify_factorial_identity(4) == (24, 24)
+        assert _rows(4)["factorial-identity"] == (1, None)
 
     def test_n1(self):
-        assert verify_factorial_identity(1) == (1, 1)
+        assert _rows(1)["factorial-identity"] == (1, None)
 
     def test_n5(self):
-        assert verify_factorial_identity(5) == (120, 120)
+        assert _rows(5)["factorial-identity"] == (1, None)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_factorial_identity(0)
+            verify(0)
         with pytest.raises(ValueError):
-            verify_factorial_identity(FACTORIAL_IDENTITY_MAX_N + 1)
+            verify(MAX_N + 1)
+
+    def test_wrong_identity_is_named_at_n1(self, monkeypatch):
+        real = counting._factorial_identity
+
+        def wrong(n, p, a):
+            lhs, rhs = real(n, p, a)
+            return lhs, rhs + 1
+
+        monkeypatch.setattr(counting, "_factorial_identity", wrong)
+        assert _rows(3)["factorial-identity"] == (1, (1, "n!=1 sum=2"))
+
+
+class TestVerify:
+    def test_n1_lists_four_checks(self):
+        assert verify(1) == [
+            ("factorial-identity", 1, None),
+            ("half-lemma", 2, None),
+            ("schroeder-agreement", 1, None),
+            ("kings-four-way", 1, None),
+        ]
+
+    @pytest.mark.parametrize("field, failing", [
+        ("p_n", {"factorial-identity", "half-lemma", "schroeder-agreement"}),
+        ("q_n", {"half-lemma", "schroeder-agreement"}),
+        ("a_n", {"factorial-identity", "kings-four-way"}),
+    ])
+    def test_count_one_too_large_is_named_at_its_size(self, monkeypatch, field, failing):
+        real_table = counting.count_table
+
+        def wrong_table(n, which):
+            reports = real_table(n, which)
+            setattr(reports[4], field, getattr(reports[4], field) + 1)
+            return reports
+
+        monkeypatch.setattr(counting, "count_table", wrong_table)
+        for name, (_, failure) in _rows(7).items():
+            if name in failing:
+                assert failure[0] == 5 and failure[1], name
+            else:
+                assert failure is None, name
 
 
 class TestCountReport:

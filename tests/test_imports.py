@@ -1,8 +1,9 @@
-"""Unused-import guard over the package modules, using only ``ast``.
+"""Import guards over the package modules, using only ``ast``.
 
-Every name a module imports must be referenced in it, and every
-``__all__`` entry must be defined at its top level.  ``__init__.py`` only
-re-exports, so it is skipped.
+Every name a module imports must be referenced in it, every ``__all__``
+entry must be defined at its top level, and no module reads a sibling
+module's ``_private`` name.  ``__init__.py`` only re-exports, so it is
+skipped.
 """
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import percoperm
 
 MODULES = sorted(p for p in Path(percoperm.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SIBLINGS = {p.stem for p in MODULES}
 
 
 def imported_names(tree):
@@ -58,3 +60,32 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text())
     missing = set(exported_names(tree)) - top_level_names(tree)
     assert not missing, f"{path.name} exports undefined {sorted(missing)}"
+
+
+def private_reaches(tree):
+    """(line, text) of each read of a sibling's ``_name``, by attribute or by relative import."""
+    modules = set()  # local names bound to sibling modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, f"from {node.module or '.'} import {alias.name}"
+                elif alias.name in SIBLINGS:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_of_a_sibling(path):
+    reaches = list(private_reaches(ast.parse(path.read_text())))
+    assert not reaches, f"{path.name} reads private names of sibling modules: {reaches}"
+
+
+def test_private_reaches_sees_attributes_and_imports():
+    source = "from . import counting as c\nfrom .perm import _check\nfrom .series import a\n"
+    source += "c._walk(a._x)\n"  # `a` is a function, not a module
+    reaches = list(private_reaches(ast.parse(source)))
+    assert reaches == [(2, "from perm import _check"), (4, "c._walk")]

@@ -106,6 +106,7 @@ PARSE_PERMUTATION_ERRORS = [
     ("1 2 2 x", "not a number: 'x'"),
     ("21x", "not a number: '21x'"),
     ("1_0", "not a number: '1_0'"),
+    ("1\u00b2", "not a number: '1\u00b2'"),
     ("1 2 4", "value 4 out of range 1..3"),
     ("2 2 1", "duplicate value 2"),
     ("0 1", "value 0 out of range 1..2"),
