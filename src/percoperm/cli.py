@@ -17,9 +17,10 @@ from . import counting, melds, percolation, series
 from .perm import comps as perm_comps
 from .perm import parse_permutation
 
-# `sequence kings N` evaluates the exact Fraction sums of a_formula(k) for
-# every k <= N, about N^3 work in all: 0.1 s at N = 50, 0.7 s at N = 100 and
-# 6 s at N = 200 (Python 3.11, one core).  50 keeps every sequence near 0.1 s.
+# `sequence kings N` sums the integer terms of a_formula(k) for every k <= N,
+# about N^3 big-integer steps in all: 6 ms at N = 50, 41 ms at N = 100 and
+# 0.45 s at N = 200 (Python 3.11, one core).  From a shell, sequence kings 50
+# takes 0.14 s and the other sequences 0.1 s, nearly all of it start-up.
 SEQUENCE_MAX = 50
 # A full percolation takes about n^2 steps, each paying a worklist insert,
 # and the trace keeps every step.  percolate --format json on full inputs
@@ -27,9 +28,10 @@ SEQUENCE_MAX = 50
 # 0.55-0.8 s and at n = 500 0.8-1.4 s with 115 MB peak RSS (Python 3.11,
 # one core); n = 800 takes about 3 s and 268 MB.
 PERCOLATE_MAX_N = 500
-# The plain trace prints one n x n frame per step, n^4 characters in all: on
-# the same inputs 16 MB at n = 64 and 40 MB in 0.2-0.3 s with 137 MB peak
-# RSS at n = 80; n = 100 prints 100 MB and peaks at 306 MB.
+# The plain trace prints one n x n frame per step, n^4 characters in all, a
+# frame at a time: on the same inputs 17 MB at n = 64 and 41 MB in 0.2-0.3 s
+# at n = 80, at 20 MB peak RSS for either; n = 100 would print 100 MB in
+# 0.5 s and n = 128 268 MB in 0.7 s, still at 20 MB.
 PLAIN_TRACE_MAX_N = 80
 
 
@@ -109,7 +111,11 @@ def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: st
         }
         click.echo(json.dumps(payload))
         return
-    click.echo(percolation.render_trace(trace))
+    # One frame at a time, as render_trace would join them: the text is n^4 characters.
+    sep = ""
+    for frame in percolation.trace_frames(trace):
+        click.echo(sep + frame)
+        sep = "\n"
     if not trace.steps:
         click.echo("no-growth")
 

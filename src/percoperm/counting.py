@@ -47,22 +47,26 @@ from . import series
 
 # The cost is the n! permutations, walked as about n!/4 orbit representatives
 # and pruned to the prefixes that can still be full or no-growth.  Serial
-# count_report(n, which) at n = 8, 9, 10, 11 (Python 3.11, one core): full
-# 0.014, 0.07, 0.32, 2.0 s; indec-full 0.014, 0.06, 0.28, 2.1 s; no-growth
-# 0.004, 0.04, 0.19, 3.2 s; all 0.018, 0.11, 0.50, 5.4 s, 4-11 times more per
-# size.  From a shell on a pool of 2 vCPUs, count 11 takes 3.0-3.7 s and
-# count 12 17-27 s.  verify(n) counts through count_table(n, "all"), so this
-# gate is its gate too: verify 10 takes 1.2 s, verify 11 2.4 s (4.1 s with
-# PERCOPERM_THREADS=1) and verify 12 19 s.
+# count_report(n, which) at n = 8, 9, 10, 11 (Python 3.11, one core, minimum
+# of 5 runs, of 2 at n = 11): full 0.005, 0.027, 0.14, 0.79 s; indec-full
+# 0.005, 0.027, 0.14, 0.81 s; no-growth 0.001, 0.008, 0.08, 0.75 s; all
+# 0.006, 0.036, 0.22, 1.6 s, 5-10 times more per size.  From a shell on a
+# pool of 2 vCPUs, count 11 takes 1.1-1.5 s and count 12 7.8-8.4 s.
+# verify(n) counts through count_table(n, "all"), so this gate is its gate
+# too: verify 10 takes 0.3-0.4 s, verify 11 1.2-1.3 s (2.0 s with
+# PERCOPERM_THREADS=1) and verify 12 8.2-8.6 s.
 MAX_N = 12
 # count_table starts a process pool from this size up: below it a fresh pool
 # does not repay starting the workers.  count_table(n, which) on 2 vCPUs,
-# PERCOPERM_THREADS=1 against a fresh pool of 2 (medians of 7 runs): at n = 8,
-# full 21 ms against 37, indec-full 22 against 38, no-growth 6 against 22 and
-# all 18 against 39; at n = 9, full 81 against 122, indec-full 59 against 70,
-# no-growth 25 against 30, all 83 against 68.  At n = 10 the pool takes
-# count 10 (all) from 0.9-1.1 s to 0.5-0.6 s from a shell.
-PARALLEL_MIN_N = 9
+# PERCOPERM_THREADS=1 against a fresh pool of 2 for size n alone, in one
+# process: at n = 9 (medians of 7) the pool loses in every family, full 36
+# ms against 46, indec-full 36 against 46, no-growth 10 against 21 and all
+# 45 against 59; at n = 10 (interleaved, medians of 11) it wins in every
+# family, full 192 against 142, indec-full 223 against 139, no-growth 107
+# against 86 and all 288 against 218.  From a shell (medians of 15) count
+# 10 breaks even, 0.37-0.40 s serially against 0.40-0.41 s on the pool, and
+# count 11 takes 1.95 s serially against 1.2 s.
+PARALLEL_MIN_N = 10
 
 __all__ = [
     "MAX_N",
@@ -141,33 +145,48 @@ def _walk(n: int, pair: tuple[int, int], want: tuple[bool, bool, bool]) -> tuple
     is: q is tested only on full permutations.
 
     ``extend`` places one value v in place, calling no helper: a call
-    costs more than the few steps it would wrap.  It pushes v onto the
-    parent's left-merge stack without a copy, moving an index k down while
-    the value intervals abut; w is full iff the stack ends as one interval.
-    Only a child that survives the cut gets its own stack, ``stack[:k]``
-    and its new top.  The last value takes no part in the cut, as merges
-    happen before it arrives (1 3 5 4 2 is full); it is pushed without a
-    copy, and p counts when k reaches 0.
+    costs more than the few steps it would wrap.  The left-merge stack is
+    linked from its top entry down, each entry (lo, hi, below, above,
+    down) holding the one under it (None at the bottom).  v merges with
+    the entries from the top down while the value intervals abut; w is
+    full iff the stack ends as one interval.  A child that survives the
+    cut gets one new entry, v's merged interval, over the highest entry v
+    leaves in place, so no push copies a stack.
+
+    The last free value v is not given a call of its own: it has one
+    completion, w = prefix v last, decided in place.  v and then the last
+    value are pushed onto the parent's stack without a copy and without
+    the cut, which only prunes (the last value takes no part in it anyway,
+    as merges happen before it arrives: 1 3 5 4 2 is full), so no count
+    changes; p counts when the stack collapses.  w is no-growth iff its
+    prefix is and neither new adjacent pair, (prev, v) and (v, last),
+    differs by 1.  Likewise ``lean`` counts its last two free values x and
+    y in one expression: the completions prev x y last and prev y x last
+    share the pair {x, y}, so they add [|x-y| != 1] * ([|x-prev| != 1 and
+    |last-y| != 1] + [|y-prev| != 1 and |last-x| != 1]).  Each permutation
+    is still decided by its own adjacent differences and its own merges, so
+    the walk stays brute force.
 
     The cut drops a stack with an interval I inside the hull of those
     above it.  It is sound: I only ever merges with the one meld T above
     it, by which time T holds every interval above I, and T's values are
     contiguous and disjoint from I.  On a stack that passes, each I lies
     below or above that hull and keeps its side as the hull grows, so a
-    push puts I inside iff v lies beyond I on its side.  Each entry (lo,
-    hi, below, above) carries the open window that passes every interval
-    under it: ``below`` is the lo of the nearest one under it that lies
-    below (those further down lie lower still), ``above`` the hi of the
-    nearest that lies above.  v survives iff it lies in the window of
-    ``stack[k - 1]``, the highest entry it leaves in place and itself
-    outside the merged interval; the bottom entry's window is 0..n+1.
+    push puts I inside iff v lies beyond I on its side.  Each entry's
+    ``below`` and ``above`` bound the open window that passes every
+    interval under it: ``below`` is the lo of the nearest one under it
+    that lies below (those further down lie lower still), ``above`` the hi
+    of the nearest that lies above.  v survives iff it lies in the window
+    of the highest entry it leaves in place, itself outside the merged
+    interval; the bottom entry's window is 0..n+1.
 
     For q a prefix carries its max ``peak`` and a flag ``dec``, set once a
     proper prefix j has max j: it holds 1..j, so w is decomposable.  A full
     w adds ``(not dec) + 1``, as r(w) is indecomposable (see the module
-    docstring).  A child cut with its no-growth flag on goes on in
-    ``lean``, which keeps only the free values and the last one placed;
-    ``no-growth`` alone starts there.
+    docstring); for the last free value v that is ``dec or max(peak, v) ==
+    depth + 1``, the flag of the prefix that ends in v.  A child cut with
+    its no-growth flag on goes on in ``lean``, which keeps only the free
+    values and the last one placed; ``no-growth`` alone starts there.
     """
     first, last = pair
     want_p, want_q, want_a = want
@@ -175,19 +194,42 @@ def _walk(n: int, pair: tuple[int, int], want: tuple[bool, bool, bool]) -> tuple
 
     def lean(free, prev):
         nonlocal a
-        if not free:
+        if len(free) == 2:
+            x, y = free
+            if abs(x - y) != 1:
+                a += ((abs(x - prev) != 1 and abs(last - y) != 1)
+                      + (abs(y - prev) != 1 and abs(last - x) != 1))
+        elif free:
+            for i, v in enumerate(free):
+                if abs(v - prev) != 1:
+                    lean(free[:i] + free[i + 1 :], v)
+        else:
             a += abs(prev - last) != 1
-            return
-        for i, v in enumerate(free):
-            if abs(v - prev) != 1:
-                lean(free[:i] + free[i + 1 :], v)
 
     def extend(depth, free, stack, prev, flat, peak, dec):
         nonlocal p, q, a
-        if not free:
-            a += flat and abs(prev - last) != 1
-            lo = hi = last
-            for l2, h2, _, _ in reversed(stack):
+        if len(free) == 1:
+            v = free[0]
+            a += flat and abs(v - prev) != 1 and abs(v - last) != 1
+            lo = hi = v
+            node = stack
+            while node:
+                l2, h2, _, _, down = node
+                if h2 + 1 == lo:
+                    lo = l2
+                elif hi + 1 == l2:
+                    hi = h2
+                else:
+                    break
+                node = down
+            if hi + 1 == last:
+                hi = last
+            elif last + 1 == lo:
+                lo = last
+            else:
+                return
+            while node:
+                l2, h2, _, _, node = node
                 if h2 + 1 == lo:
                     lo = l2
                 elif hi + 1 == l2:
@@ -195,32 +237,34 @@ def _walk(n: int, pair: tuple[int, int], want: tuple[bool, bool, bool]) -> tuple
                 else:
                     return
             p += 1
-            q += (not dec) + 1
+            q += (not dec and (peak if peak > v else v) != depth + 1) + 1
             return
         d1 = depth + 1
         for i, v in enumerate(free):
             lo = hi = v
-            k = len(stack)
-            while k:
-                l2, h2, below, above = stack[k - 1]
+            node = stack
+            while node:
+                l2, h2, below, above, down = node
                 if h2 + 1 == lo:
                     lo = l2
                 elif hi + 1 == l2:
                     hi = h2
                 else:
                     break
-                k -= 1
+                node = down
             if below < v < above:
                 pk = peak if peak > v else v
-                entry = (lo, hi, l2 if h2 < lo else below, h2 if l2 > hi else above)
-                extend(d1, free[:i] + free[i + 1 :], stack[:k] + [entry], v,
+                entry = (lo, hi, l2 if h2 < lo else below, h2 if l2 > hi else above, node)
+                extend(d1, free[:i] + free[i + 1 :], entry, v,
                        flat and abs(v - prev) != 1, pk, dec or pk == d1)
             elif flat and abs(v - prev) != 1:
                 lean(free[:i] + free[i + 1 :], v)
 
     rest = tuple(v for v in range(1, n + 1) if v != first and v != last)
-    if want_p or want_q:
-        extend(1, rest, [(first, first, 0, n + 1)], first, want_a, first, first == 1)
+    if not rest:  # n = 2: 1 2 is full and decomposable; r(1 2) = 2 1 counts in q
+        p = q = int(want_p or want_q)
+    elif want_p or want_q:
+        extend(1, rest, (first, first, 0, n + 1, None), first, want_a, first, first == 1)
     else:
         lean(rest, first)
     weight = 4 if first + last < n + 1 else 2

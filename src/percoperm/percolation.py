@@ -37,6 +37,7 @@ __all__ = [
     "final_configuration",
     "is_full",
     "render_trace",
+    "trace_frames",
 ]
 
 
@@ -324,13 +325,17 @@ def is_full(p: Sequence[int]) -> bool:
     return len(final_configuration(p).tiles) == 1
 
 
-def render_trace(trace: PercolationTrace) -> str:
-    """Frame-by-frame rendering: 0/1 grids separated by blank lines."""
+def trace_frames(trace: PercolationTrace) -> Iterator[str]:
+    """The 0/1 grid before the first step and after each step, one frame at a time."""
     n = trace.initial.n
     lines = [_render_row(bits, n) for bits in trace.initial.rows]
-    frames = ["\n".join(lines)]
+    yield "\n".join(lines)
     for row, col in trace.steps:
         line = lines[row - 1]
         lines[row - 1] = line[:col - 1] + "1" + line[col:]
-        frames.append("\n".join(lines))
-    return "\n\n".join(frames)
+        yield "\n".join(lines)
+
+
+def render_trace(trace: PercolationTrace) -> str:
+    """Frame-by-frame rendering: 0/1 grids separated by blank lines."""
+    return "\n\n".join(trace_frames(trace))

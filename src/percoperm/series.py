@@ -194,21 +194,26 @@ def a_via_series(n: int) -> Series:
     return series_compose(series_epsilon(n), series_g(n))
 
 
-def _ones_weighted_inner(n: int, m: int) -> Fraction:
-    """sum over compositions of n into m parts of 2^(-#parts equal to 1).
+def _kings_terms(n: int) -> Iterator[tuple[int, int, int]]:
+    """(m, 2^m * inner, term) for m = 1..n, the terms of the explicit kings formula.
 
-    Grouped by the number j of parts equal to 1: choose their positions,
-    then count compositions of the remainder into parts >= 2.
+    inner = sum over compositions of n into m parts of 2^(-#parts equal to
+    1).  Grouped by the number j of parts equal to 1 (choose their
+    positions, then compose the remaining n - j into m - j parts >= 2, in
+    C(n - m - 1, m - j - 1) ways, or 1 way when j = m = n), 2^m * inner =
+    sum_j C(m, j) * count_j * 2^(m - j), an integer.  So is the term
+    (-1)^n * m! * (-2)^m * inner = (-1)^(n + m) * m! * 2^m * inner.
     """
-    total = Fraction(0)
-    for j in range(m + 1):
-        if m - j == 0:
-            count = 1 if n - j == 0 else 0
-        else:
-            count = binomial(n - m - 1, m - j - 1)
-        if count:
-            total += Fraction(binomial(m, j) * count, 2**j)
-    return total
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    factorial = 1
+    for m in range(1, n + 1):
+        factorial *= m
+        scaled = sum(math.comb(m, j) * math.comb(n - m - 1, m - j - 1) << (m - j)
+                     for j in range(max(0, 2 * m - n), m))
+        if m == n:
+            scaled += 1
+        yield m, scaled, (-1) ** (n + m) * factorial * scaled
 
 
 def a_formula_terms(n: int) -> list[tuple[Fraction, int]]:
@@ -218,16 +223,7 @@ def a_formula_terms(n: int) -> list[tuple[Fraction, int]]:
     parts of 2^(-pi_1) together with the signed term
     (-1)^n * m! * (-2)^m * inner; the terms sum to the kings count.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sign = (-1) ** n
-    out = []
-    for m in range(1, n + 1):
-        inner = _ones_weighted_inner(n, m)
-        term = sign * math.factorial(m) * (-2) ** m * inner
-        assert term.denominator == 1
-        out.append((inner, int(term)))
-    return out
+    return [(Fraction(scaled, 2**m), term) for m, scaled, term in _kings_terms(n)]
 
 
 def a_formula(n: int) -> int:
@@ -236,7 +232,7 @@ def a_formula(n: int) -> int:
     Explicit alternating formula over compositions:
     a_n = (-1)^n sum_{m=1}^{n} m! (-2)^m sum_{C(n,m)} 2^(-pi_1).
     """
-    return sum(term for _, term in a_formula_terms(n))
+    return sum(term for _, _, term in _kings_terms(n))
 
 
 def a_abramson_moser(n: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -85,6 +86,17 @@ class TestPercolate:
             calls.clear()
             assert run("percolate", "1324", "--format", fmt).exit_code == 0
             assert len(calls) == 1
+
+    def test_plain_output_is_render_trace(self):
+        # The frames are echoed one at a time; together they must read as render_trace's text.
+        perms = [w for n in range(1, 6) for w in itertools.permutations(range(1, n + 1))]
+        perms.append(tuple(range(1, PLAIN_TRACE_MAX_N + 1)))
+        for w in perms:
+            trace = percolation.percolate(percolation.matrix_of(w), "first-scan")
+            expected = percolation.render_trace(trace) + "\n" + ("" if trace.steps else "no-growth\n")
+            result = run("percolate", " ".join(map(str, w)))
+            assert result.exit_code == 0
+            assert result.stdout_bytes == expected.encode(), w
 
     @pytest.mark.parametrize("fmt, gate", [("plain", PLAIN_TRACE_MAX_N), ("json", PERCOLATE_MAX_N)])
     def test_size_gates(self, monkeypatch, fmt, gate):

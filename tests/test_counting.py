@@ -66,7 +66,9 @@ def visited_prefixes(n, pair, want):
     """The prefixes ``counting._walk`` places on a merge stack, read off its recursion.
 
     Each call of the nested ``extend`` places one value, ``prev``; the
-    chain of ``extend`` frames above a call spells its prefix.
+    chain of ``extend`` frames above a call spells its prefix.  A call
+    with one free value places it and the last value in place, so the
+    prefixes reach length n - 2.
     """
     seen = set()
 
@@ -101,6 +103,15 @@ def reverse(w):
 
 def complement(w):
     return tuple(len(w) + 1 - v for v in w)
+
+
+# (p_n, q_n, a_n) of count_table's last row at the sizes around PARALLEL_MIN_N
+ROWS = {
+    8: (8558, 4279, 5242),
+    9: (41586, 20793, 47622),
+    10: (206098, 103049, 479306),
+    11: (1037718, 518859, 5296790),
+}
 
 
 class TestOrbitWalk:
@@ -142,7 +153,7 @@ class TestOrbitWalk:
             for mid in itertools.permutations(rest):
                 w = (first, *mid, last)
                 if merge_run(w).full:
-                    prefixes.update(w[:d] for d in range(1, n))
+                    prefixes.update(w[:d] for d in range(1, n - 1))
             assert prefixes <= visited_prefixes(n, pair, counting._FAMILIES["full"]), pair
 
     @pytest.mark.parametrize("n", range(4, 8))
@@ -152,7 +163,7 @@ class TestOrbitWalk:
             assert not any(map(has_non_separable_pattern, visited)), pair
 
     # 2413 and 3142 (as 5 3 6 4) lose their prefix at the third value of the pattern
-    @pytest.mark.parametrize("n, pair, prefix", [(4, (2, 3), (2, 4, 1)), (6, (1, 2), (1, 5, 3, 6))])
+    @pytest.mark.parametrize("n, pair, prefix", [(5, (2, 3), (2, 4, 1)), (6, (1, 2), (1, 5, 3, 6))])
     def test_walk_cuts_a_pattern_at_its_third_value(self, n, pair, prefix):
         visited = visited_prefixes(n, pair, counting._FAMILIES["full"])
         assert prefix[:-1] in visited and prefix not in visited
@@ -237,7 +248,7 @@ class TestCounts:
         # The jobs are the (first, last) pairs f < l with f + l <= n + 1.
         r = count_table(PARALLEL_MIN_N, "all")[-1]
         assert pools == [PARALLEL_MIN_N ** 2 // 4]
-        assert (r.p_n, r.q_n, r.a_n) == (41586, 20793, 47622)
+        assert (r.p_n, r.q_n, r.a_n) == ROWS[PARALLEL_MIN_N]
 
     def test_table_starts_one_pool(self, pools):
         reports = count_table(10, "no-growth")
@@ -246,16 +257,18 @@ class TestCounts:
 
     def test_one_thread_starts_no_pool(self, pools, monkeypatch):
         monkeypatch.setenv("PERCOPERM_THREADS", "1")
-        r = count_table(9, "all")[-1]
+        r = count_table(PARALLEL_MIN_N, "all")[-1]
         assert pools == []
-        assert (r.p_n, r.q_n, r.a_n) == (41586, 20793, 47622)
+        assert (r.p_n, r.q_n, r.a_n) == ROWS[PARALLEL_MIN_N]
 
     def test_unknown_family_starts_no_pool(self, pools):
         with pytest.raises(ValueError):
-            count_table(9, "bogus")
+            count_table(PARALLEL_MIN_N, "bogus")
         assert pools == []
 
-    @pytest.mark.parametrize("n, threads", [(9, "abc"), (3, "abc"), (0, "64"), (MAX_N + 1, "64")])
+    @pytest.mark.parametrize(
+        "n, threads", [(9, "abc"), (3, "abc"), (0, "64"), (MAX_N + 1, "64"), (PARALLEL_MIN_N, "abc")]
+    )
     def test_bad_input_starts_no_pool(self, pools, monkeypatch, n, threads):
         monkeypatch.setenv("PERCOPERM_THREADS", threads)
         with pytest.raises(ValueError):
@@ -265,7 +278,7 @@ class TestCounts:
     def test_no_pool_below_parallel_min_n(self, pools):
         r = count_table(PARALLEL_MIN_N - 1, "all")[-1]
         assert pools == []
-        assert (r.p_n, r.q_n, r.a_n) == (8558, 4279, 5242)
+        assert (r.p_n, r.q_n, r.a_n) == ROWS[PARALLEL_MIN_N - 1]
 
 
 def test_recursion_for_full_counts():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import percoperm
+from percoperm.cli import SEQUENCE_MAX
 from percoperm.series import (
     Series,
     a_abramson_moser,
@@ -196,9 +197,18 @@ class TestKingsCounts:
                 assert d & (d - 1) == 0
 
     def test_three_way_agreement(self):
-        kings = a_via_series(25)
-        for n in range(1, 26):
+        kings = a_via_series(SEQUENCE_MAX)
+        for n in range(1, SEQUENCE_MAX + 1):
             assert a_formula(n) == a_abramson_moser(n) == kings[n]
+
+    def test_formula_sums_its_terms(self):
+        for n in range(1, SEQUENCE_MAX + 1):
+            terms = a_formula_terms(n)
+            assert a_formula(n) == sum(t for _, t in terms)
+            for inner, _ in terms:
+                assert isinstance(inner, Fraction)
+                d = inner.denominator
+                assert d & (d - 1) == 0
 
     def test_binomial_guard(self):
         assert binomial(3, -1) == 0
