@@ -19,14 +19,15 @@ from .perm import parse_permutation
 
 # `sequence kings N` sums the integer terms of a_formula(k) for every k <= N,
 # about N^3 big-integer steps in all: 6 ms at N = 50, 41 ms at N = 100 and
-# 0.45 s at N = 200 (Python 3.11, one core).  From a shell, sequence kings 50
-# takes 0.14 s and the other sequences 0.1 s, nearly all of it start-up.
+# 0.45 s at N = 200 (Python 3.11, one core).  From a shell on a busy 2-vCPU
+# machine every sequence at N = 50 takes 0.12-0.18 s, nearly all of it start-up:
+# the interpreter alone takes about 0.08 s and import percoperm.cli about 0.08 s.
 SEQUENCE_MAX = 50
 # A full percolation takes about n^2 steps, each paying a worklist insert,
 # and the trace keeps every step.  percolate --format json on full inputs
 # (identity, reverse, odd values up then even down) at n = 400 takes
-# 0.55-0.8 s and at n = 500 0.8-1.4 s with 115 MB peak RSS (Python 3.11,
-# one core); n = 800 takes about 3 s and 268 MB.
+# 0.55-0.8 s and at n = 500 0.8-1.4 s with 68 MB peak RSS (Python 3.11,
+# one core); n = 800 takes about 3-3.6 s and 156 MB.
 PERCOLATE_MAX_N = 500
 # The plain trace prints one n x n frame per step, n^4 characters in all, a
 # frame at a time: on the same inputs 17 MB at n = 64 and 41 MB in 0.2-0.3 s
@@ -101,15 +102,13 @@ def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: st
     except ValueError as exc:
         _fail(str(exc))
     if fmt == "json":
-        config = percolation.FinalConfiguration.from_grid(trace.final)
-        payload = {
-            "steps": [{"row": r, "col": c} for r, c in trace.steps],
-            "tiles": [
-                {"row": t.row, "col": t.col, "size": t.size} for t in config.tiles
-            ],
-            "full": len(config.tiles) == 1,
-        }
-        click.echo(json.dumps(payload))
+        # The text json.dumps gives, but the steps, about n^2 of them, are joined
+        # straight from the trace's tuples, with no dict per step.
+        steps = ", ".join(f'{{"row": {r}, "col": {c}}}' for r, c in trace.steps)
+        tiles = percolation.FinalConfiguration.from_grid(trace.final).tiles
+        tiles_json = json.dumps([{"row": t.row, "col": t.col, "size": t.size} for t in tiles])
+        full = json.dumps(len(tiles) == 1)
+        click.echo(f'{{"steps": [{steps}], "tiles": {tiles_json}, "full": {full}}}')
         return
     # One frame at a time, as render_trace would join them: the text is n^4 characters.
     sep = ""

@@ -40,8 +40,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import series
 
@@ -51,21 +50,21 @@ from . import series
 # of 5 runs, of 2 at n = 11): full 0.005, 0.027, 0.14, 0.79 s; indec-full
 # 0.005, 0.027, 0.14, 0.81 s; no-growth 0.001, 0.008, 0.08, 0.75 s; all
 # 0.006, 0.036, 0.22, 1.6 s, 5-10 times more per size.  From a shell on a
-# pool of 2 vCPUs, count 11 takes 1.1-1.5 s and count 12 7.8-8.4 s.
-# verify(n) counts through count_table(n, "all"), so this gate is its gate
-# too: verify 10 takes 0.3-0.4 s, verify 11 1.2-1.3 s (2.0 s with
-# PERCOPERM_THREADS=1) and verify 12 8.2-8.6 s.
+# pool of 2 vCPUs, count 11 takes 1.1-1.9 s and count 12 7.8-8.4 s, or 16-19 s
+# while other jobs load the machine.  verify(n) counts through count_table(n,
+# "all"), so this gate is its gate too: verify 10 takes 0.3-0.5 s, verify 11
+# 1.2-2.3 s (2.0 s with PERCOPERM_THREADS=1) and verify 12 8.2-17 s.
 MAX_N = 12
 # count_table starts a process pool from this size up: below it a fresh pool
-# does not repay starting the workers.  count_table(n, which) on 2 vCPUs,
-# PERCOPERM_THREADS=1 against a fresh pool of 2 for size n alone, in one
-# process: at n = 9 (medians of 7) the pool loses in every family, full 36
-# ms against 46, indec-full 36 against 46, no-growth 10 against 21 and all
-# 45 against 59; at n = 10 (interleaved, medians of 11) it wins in every
-# family, full 192 against 142, indec-full 223 against 139, no-growth 107
-# against 86 and all 288 against 218.  From a shell (medians of 15) count
-# 10 breaks even, 0.37-0.40 s serially against 0.40-0.41 s on the pool, and
-# count 11 takes 1.95 s serially against 1.2 s.
+# does not repay importing the pool and starting the workers.  On 2 vCPUs,
+# each sample a fresh interpreter timing size n alone, serially against a
+# pool of 2 with its import (interleaved, medians of 9): at n = 9 the pool
+# loses in every family, full 61 ms against 90, indec-full 60 against 85,
+# no-growth 19 against 62 and all 75 against 104; at n = 10 it wins in every
+# family, full 291 against 199, indec-full 315 against 220, no-growth 178
+# against 157 and all 498 against 311.  From a shell (medians of 9), count 9
+# takes 0.25 s serially against 0.29 s with a pool from 9 up, and count 10
+# 0.83 s serially against 0.69 s on the pool.
 PARALLEL_MIN_N = 10
 
 __all__ = [
@@ -81,9 +80,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class CountReport:
-    """One row of counting output; unused families stay None."""
+class CountReport(NamedTuple):
+    """One row of counting output; unused families stay None.  Immutable."""
 
     n: int
     p_n: int | None = None
@@ -325,9 +323,8 @@ def _want(which: str) -> tuple[bool, bool, bool]:
 def _report(n: int, want: tuple[bool, bool, bool], pool) -> CountReport:
     start = time.perf_counter()
     counts = _tally(n, want, pool)
-    report = CountReport(n, *(c if wanted else None for c, wanted in zip(counts, want)))
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    return CountReport(n, *(c if wanted else None for c, wanted in zip(counts, want)), elapsed_ms)
 
 
 def count_report(n: int, which: str = "all") -> CountReport:
@@ -350,6 +347,10 @@ def count_table(n: int, which: str = "all") -> list[CountReport]:
     workers = min(max_workers(), len(_pairs(n)))
     if workers < 2 or n < PARALLEL_MIN_N:
         return [_report(k, want, None) for k in range(1, n + 1)]
+    # Imported here: the process-pool stack (multiprocessing, pickle, socket,
+    # subprocess) would otherwise load with every command.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [_report(k, want, pool if k >= PARALLEL_MIN_N else None) for k in range(1, n + 1)]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .perm import Word, check_permutation
@@ -107,8 +106,7 @@ class Meld(NamedTuple):
         return tuple(self.leaves())
 
 
-@dataclass(frozen=True)
-class MergeOutcome:
+class MergeOutcome(NamedTuple):
     """Final melds, left to right; each one's ``lo..hi`` and ``start..end`` are its tile."""
 
     melds: tuple[Meld, ...]
@@ -304,8 +302,9 @@ def components_via_bracketing(p: Sequence[int]) -> list[Word]:
         raise ValueError("permutation is not full")
     node = outcome.melds[0]
     rear: list[Word] = []
-    while node.kind is Kind.ROUND:
-        rear.append(p[node.right.start - 1 : node.right.end])
-        node = node.left
+    while node[4] is _ROUND:  # kind, read by index as merge_run does (see Meld)
+        right = node[6]
+        rear.append(p[right[2] - 1 : right[3]])
+        node = node[5]
     rear.append(p[node.start - 1 : node.end])
     return rear[::-1]

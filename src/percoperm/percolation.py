@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perm import Word, check_permutation
 
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """An n x n 0/1 matrix; immutable."""
 
     n: int
@@ -57,15 +55,13 @@ def _render_row(bits: int, n: int) -> str:
     return format(bits, f"0{n}b")[::-1]
 
 
-@dataclass(frozen=True)
-class PercolationTrace:
+class PercolationTrace(NamedTuple):
     initial: Grid
     steps: tuple[Cell, ...]
     final: Grid
 
 
-@dataclass(frozen=True)
-class MutationLayers:
+class MutationLayers(NamedTuple):
     """Minimum step counts L(c) and the layer sets U_0..U_{n^2-n}.
 
     L maps every initially-zero cell to the minimum number of steps any
@@ -78,15 +74,13 @@ class MutationLayers:
     U: tuple[frozenset[Cell], ...]
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     row: int  # top-left corner, top-origin
     col: int
     size: int
 
 
-@dataclass(frozen=True)
-class FinalConfiguration:
+class FinalConfiguration(NamedTuple):
     tiles: tuple[Tile, ...]
     condensed: Word
 

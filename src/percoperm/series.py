@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Series",
@@ -34,9 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Series:
-    """A formal power series truncated at order N; coeffs[k] is the t^k coefficient."""
+class Series(NamedTuple):
+    """A formal power series truncated at order N; s[k] is coeffs[k], the t^k coefficient.
+
+    Immutable.  ``s[k]`` indexes the coefficients, not the record's one field.
+    """
 
     coeffs: tuple
 
@@ -223,6 +226,9 @@ def a_formula_terms(n: int) -> list[tuple[Fraction, int]]:
     parts of 2^(-pi_1) together with the signed term
     (-1)^n * m! * (-2)^m * inner; the terms sum to the kings count.
     """
+    # Imported here, its one use: fractions loads decimal, which no command needs.
+    from fractions import Fraction
+
     return [(Fraction(scaled, 2**m), term) for m, scaled, term in _kings_terms(n)]
 
 

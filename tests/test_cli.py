@@ -45,6 +45,36 @@ class TestPercolate:
         result = run("percolate", "213", "--format", "json")
         assert json.dumps(json.loads(result.output)) == result.output.rstrip("\n")
 
+    @pytest.mark.parametrize("n", [*range(1, 6), PERCOLATE_MAX_N])
+    def test_json_is_json_dumps_of_the_payload(self, monkeypatch, n):
+        # The steps are joined as text; the output must be json.dumps of one dict per step.
+        traces = []
+        engine = percolation.percolate
+
+        def recorded(*args, **kwargs):
+            traces.append(engine(*args, **kwargs))
+            return traces[-1]
+
+        def payload(trace):
+            tiles = percolation.FinalConfiguration.from_grid(trace.final).tiles
+            return {
+                "steps": [{"row": r, "col": c} for r, c in trace.steps],
+                "tiles": [{"row": t.row, "col": t.col, "size": t.size} for t in tiles],
+                "full": len(tiles) == 1,
+            }
+
+        monkeypatch.setattr(percolation, "percolate", recorded)
+        if n <= 5:
+            cases = [(w, policy) for w in itertools.permutations(range(1, n + 1))
+                     for policy in ["first-scan", "random"]]
+        else:  # the identity is full: about n^2 steps
+            cases = [(range(1, n + 1), "first-scan")]
+        for w, policy in cases:
+            result = run("percolate", "-", "--policy", policy, "--seed", "3", "--format", "json",
+                         input=" ".join(map(str, w)))
+            assert result.exit_code == 0
+            assert result.stdout_bytes == (json.dumps(payload(traces[-1])) + "\n").encode(), w
+
     def test_parse_error_exit_2(self):
         assert run("percolate", "2 2 1").exit_code == 2
 
@@ -291,7 +321,7 @@ class TestVerify:
             def wrong_table(n, *args, **kwargs):
                 reports = real_table(n, *args, **kwargs)
                 r = reports[wrong_at - 1]
-                setattr(r, name, getattr(r, name) + 1)
+                reports[wrong_at - 1] = r._replace(**{name: getattr(r, name) + 1})
                 return reports
 
             monkeypatch.setattr(counting, "count_table", wrong_table)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import sys
 
@@ -241,7 +242,7 @@ class TestCounts:
                 return map(fn, *iterables)
 
         monkeypatch.setenv("PERCOPERM_THREADS", "64")
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         return recorded
 
     def test_process_workers_capped_at_job_count(self, pools):
@@ -340,7 +341,7 @@ class TestVerify:
 
         def wrong_table(n, which):
             reports = real_table(n, which)
-            setattr(reports[4], field, getattr(reports[4], field) + 1)
+            reports[4] = reports[4]._replace(**{field: getattr(reports[4], field) + 1})
             return reports
 
         monkeypatch.setattr(counting, "count_table", wrong_table)
@@ -362,6 +363,13 @@ class TestCountReport:
         assert r.to_json_obj() == {
             "n": 4, "p_n": 22, "q_n": 11, "a_n": 2, "elapsed_ms": 3.1,
         }
+
+    def test_is_immutable(self):
+        r = CountReport(4, 22)
+        assert (r.q_n, r.a_n, r.elapsed_ms) == (None, None, 0.0)
+        with pytest.raises(AttributeError):
+            r.elapsed_ms = 1.0
+        assert r._replace(a_n=2) == CountReport(4, 22, None, 2)
 
     def test_count_report_families(self):
         r = count_report(4, "full")

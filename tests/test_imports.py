@@ -1,11 +1,15 @@
-"""Import guards over the package modules, using only ``ast``.
+"""Import guards over the package modules.
 
 Every name a module imports must be referenced in it, every ``__all__``
 entry must be defined at its top level, and no module reads a sibling
-module's ``_private`` name.  ``__init__.py`` only re-exports, so it is
-skipped.
+module's ``_private`` name; these read the source with ``ast``, and skip
+``__init__.py``, which only re-exports.  Starting the CLI must not load
+what no command below the process pool runs.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,20 @@ def test_private_reaches_sees_attributes_and_imports():
     source += "c._walk(a._x)\n"  # `a` is a function, not a module
     reaches = list(private_reaches(ast.parse(source)))
     assert reaches == [(2, "from perm import _check"), (4, "c._walk")]
+
+
+# Loaded only where they run: the pool in count_table from PARALLEL_MIN_N on,
+# Fraction in series.a_formula_terms; the records are NamedTuples.
+DEFERRED = {"concurrent.futures.process", "multiprocessing", "fractions", "decimal", "dataclasses"}
+
+
+def test_cli_start_up_defers_the_pool_and_fractions():
+    # sys.modules before and after the import, both in the child, so site hooks do not count.
+    code = ("import sys; before = set(sys.modules); import percoperm.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(percoperm.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(done.stdout.split())
+    assert "percoperm.cli" in loaded
+    assert not loaded & DEFERRED, f"import percoperm.cli loads {sorted(loaded & DEFERRED)}"
