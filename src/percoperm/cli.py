@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import NoReturn
 
 import click
@@ -23,16 +24,17 @@ from .perm import parse_permutation
 # machine every sequence at N = 50 takes 0.12-0.18 s, nearly all of it start-up:
 # the interpreter alone takes about 0.08 s and import percoperm.cli about 0.08 s.
 SEQUENCE_MAX = 50
-# A full percolation takes about n^2 steps, each paying a worklist insert,
-# and the trace keeps every step.  percolate --format json on full inputs
-# (identity, reverse, odd values up then even down) at n = 400 takes
-# 0.55-0.8 s and at n = 500 0.8-1.4 s with 68 MB peak RSS (Python 3.11,
-# one core); n = 800 takes about 3-3.6 s and 156 MB.
+# A full percolation takes about n^2 steps, each a few byte tests on a padded
+# board and a worklist insert, and the trace keeps every step.  percolate
+# --format json on full inputs (identity, reverse, odd values up then even
+# down) at n = 400 takes 0.25-0.3 s and at n = 500 0.36-0.55 s with 69 MB peak
+# RSS (Python 3.11, one core, output to /dev/null); n = 800 takes about 1.0-1.1 s
+# and 156 MB.
 PERCOLATE_MAX_N = 500
 # The plain trace prints one n x n frame per step, n^4 characters in all, a
-# frame at a time: on the same inputs 17 MB at n = 64 and 41 MB in 0.2-0.3 s
-# at n = 80, at 20 MB peak RSS for either; n = 100 would print 100 MB in
-# 0.5 s and n = 128 268 MB in 0.7 s, still at 20 MB.
+# frame at a time: on the same inputs 17 MB at n = 64 and 41 MB in 0.17-0.2 s
+# at n = 80, at 17 MB peak RSS for either; n = 100 would print 100 MB in
+# 0.23 s and n = 128 268 MB in 0.36 s, still at 18 MB.
 PLAIN_TRACE_MAX_N = 80
 
 
@@ -102,13 +104,15 @@ def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: st
     except ValueError as exc:
         _fail(str(exc))
     if fmt == "json":
-        # The text json.dumps gives, but the steps, about n^2 of them, are joined
-        # straight from the trace's tuples, with no dict per step.
-        steps = ", ".join(f'{{"row": {r}, "col": {c}}}' for r, c in trace.steps)
+        # The text json.dumps gives, with no dict per step or tile: the steps,
+        # about n^2 of them, fill one %-format from the trace's flattened
+        # tuples, and each tile fills its own.
+        steps = ", ".join(['{"row": %d, "col": %d}'] * len(trace.steps))
+        steps %= tuple(chain.from_iterable(trace.steps))
         tiles = percolation.FinalConfiguration.from_grid(trace.final).tiles
-        tiles_json = json.dumps([{"row": t.row, "col": t.col, "size": t.size} for t in tiles])
-        full = json.dumps(len(tiles) == 1)
-        click.echo(f'{{"steps": [{steps}], "tiles": {tiles_json}, "full": {full}}}')
+        tiles_json = ", ".join(map('{"row": %d, "col": %d, "size": %d}'.__mod__, tiles))
+        full = "true" if len(tiles) == 1 else "false"
+        click.echo(f'{{"steps": [{steps}], "tiles": [{tiles_json}], "full": {full}}}')
         return
     # One frame at a time, as render_trace would join them: the text is n^4 characters.
     sep = ""

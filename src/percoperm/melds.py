@@ -281,10 +281,9 @@ def top_level_kind(p: Sequence[int]) -> Kind:
 
     The kind is algorithm-independent: Square iff p is indecomposable.
     """
-    p = check_permutation(p)
-    if len(p) < 2:
+    outcome = merge_run(p, "left")  # validates p
+    if outcome.melds[-1].end < 2:
         raise ValueError("top-level kind requires n >= 2")
-    outcome = merge_run(p, "left")
     if not outcome.full:
         raise ValueError("permutation is not full")
     return outcome.melds[0].kind
@@ -296,7 +295,7 @@ def components_via_bracketing(p: Sequence[int]) -> list[Word]:
     While the root is Round its right child is the rightmost remaining
     component; peeling iteratively yields comps(p).
     """
-    p = check_permutation(p)
+    p = tuple(p)  # the tuple merge_run validates, so the slices below are words
     outcome = merge_run(p, "left")
     if not outcome.full:
         raise ValueError("permutation is not full")

@@ -13,6 +13,7 @@ from percoperm import counting, percolation, series
 from percoperm.cli import PERCOLATE_MAX_N, PLAIN_TRACE_MAX_N, SEQUENCE_MAX, main
 from percoperm.melds import EAGER_MAX_N, merge_run, serialize_meld
 from test_melds import DEEP_PERMS
+from test_percolation import inflate
 
 
 def run(*args, env=None, input=None):
@@ -45,9 +46,10 @@ class TestPercolate:
         result = run("percolate", "213", "--format", "json")
         assert json.dumps(json.loads(result.output)) == result.output.rstrip("\n")
 
-    @pytest.mark.parametrize("n", [*range(1, 6), PERCOLATE_MAX_N])
+    @pytest.mark.parametrize("n", [*range(1, 6), 48, PERCOLATE_MAX_N])
     def test_json_is_json_dumps_of_the_payload(self, monkeypatch, n):
-        # The steps are joined as text; the output must be json.dumps of one dict per step.
+        # Steps and tiles are formatted as text; the output must be json.dumps
+        # of one dict per step and per tile.
         traces = []
         engine = percolation.percolate
 
@@ -67,6 +69,12 @@ class TestPercolate:
         if n <= 5:
             cases = [(w, policy) for w in itertools.permutations(range(1, n + 1))
                      for policy in ["first-scan", "random"]]
+        elif n == 48:  # many tiles: no growth at all, and 16 blocks of 3 that stay apart
+            apart = (*range(2, n + 1, 2), *range(1, n, 2))
+            threes = list(itertools.permutations((1, 2, 3)))
+            skeleton = (*range(2, 17, 2), *range(1, 16, 2))
+            tiled = inflate(skeleton, [threes[i % 6] for i in range(16)])
+            cases = [(w, policy) for w in (apart, tiled) for policy in ["first-scan", "random"]]
         else:  # the identity is full: about n^2 steps
             cases = [(range(1, n + 1), "first-scan")]
         for w, policy in cases:

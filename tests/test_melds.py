@@ -18,7 +18,7 @@ from percoperm.melds import (
     serialize_meld,
     top_level_kind,
 )
-from percoperm import percolation
+from percoperm import melds, percolation
 from percoperm.percolation import final_configuration
 from percoperm.perm import comps, is_indecomposable, reduced, reverse
 
@@ -306,6 +306,34 @@ class TestComponentsViaBracketing:
     def test_rejects_non_full(self):
         with pytest.raises(ValueError, match="not full"):
             components_via_bracketing((2, 4, 1, 3))
+
+
+# (input, message) in the order the checks run: empty, out of range, duplicate, not full.
+BAD_INPUTS = [
+    ((), "empty permutation"),
+    ((1, 3), "value 3 out of range 1..2"),
+    ((5, 1, 1), "value 5 out of range 1..3"),
+    ((1, 1, 5), "duplicate value 1"),
+    ((2, 4, 1, 3), "permutation is not full"),
+]
+
+
+@pytest.mark.parametrize("func", [top_level_kind, components_via_bracketing])
+def test_input_errors_keep_their_messages_and_order(func, monkeypatch):
+    cases = BAD_INPUTS
+    if func is top_level_kind:  # n = 1 is refused after the range check, before fullness
+        cases = cases + [((5,), "value 5 out of range 1..1"),
+                         ((1,), "top-level kind requires n >= 2")]
+    else:
+        assert func([1]) == [(1,)]
+    for p, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            func(p)
+    checks = []
+    check = melds.check_permutation
+    monkeypatch.setattr(melds, "check_permutation", lambda p: checks.append(p) or check(p))
+    func([2, 1, 3])
+    assert len(checks) == 1  # validated once, by merge_run
 
 
 def right_child_property_holds(meld, parent_of_right=True):

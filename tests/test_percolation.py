@@ -20,7 +20,8 @@ from percoperm.percolation import (
     percolate,
     render_trace,
 )
-from percoperm.perm import reverse
+from percoperm.melds import merge_run
+from percoperm.perm import reduced, reverse
 from test_melds import separable_perms
 
 
@@ -360,14 +361,95 @@ def test_worklist_matches_rescan_oracle_exhaustive(n):
                  separable_perms(max_n=60)),
        st.integers(0, 2**32 - 1))
 def test_worklist_matches_rescan_oracle(p, seed):
-    g = matrix_of(p)
+    final = oracle_agrees_on(matrix_of(p), seed)
+    assert FinalConfiguration.from_grid(final) == final_configuration(p)
+
+
+def oracle_agrees_on(g, seed):
+    """Every policy, and a scripted replay of the random run, equal rescan_percolate.
+
+    Returns the final grid.
+    """
     first = percolate(g)
     assert (first.steps, first.final) == rescan_percolate(g, "first-scan")
     tr = percolate(g, "random", seed=seed)
     assert (tr.steps, tr.final) == rescan_percolate(g, "random", seed)
     replay = percolate(g, "scripted", script=tr.steps)
     assert (replay.steps, replay.final) == (tr.steps, tr.final)
-    assert FinalConfiguration.from_grid(tr.final) == final_configuration(p)
+    return tr.final
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_worklist_matches_rescan_oracle_on_every_grid(n):
+    # Every 0/1 grid, not only permutation matrices: rows with no 1, several or all.
+    for rows in itertools.product(range(1 << n), repeat=n):
+        oracle_agrees_on(Grid(n, rows), seed=sum(rows))
+
+
+def grid_rows(n):
+    """Row masks of every density: random, empty, full and single 1s."""
+    return st.lists(st.one_of(st.integers(0, (1 << n) - 1), st.sampled_from([0, (1 << n) - 1]),
+                              st.integers(0, n - 1).map(lambda c: 1 << c)),
+                    min_size=n, max_size=n)
+
+
+@settings(deadline=None, max_examples=150)  # the oracle rescans every row per step
+@given(st.integers(1, 16).flatmap(lambda n: grid_rows(n).map(lambda rows: Grid(n, tuple(rows)))),
+       st.integers(0, 2**32 - 1))
+def test_worklist_matches_rescan_oracle_on_any_grid(g, seed):
+    oracle_agrees_on(g, seed)
+
+
+def random_no_growth(m, rng):
+    """Uniform no-growth permutation of size m (m = 1 or m >= 4), by rejection."""
+    while True:
+        sigma = rng.sample(range(1, m + 1), m)
+        if all(abs(a - b) != 1 for a, b in zip(sigma, sigma[1:])):
+            return tuple(sigma)
+
+
+def inflate(sigma, blocks):
+    """sigma with its i-th point replaced by blocks[i], the blocks' values ranked as sigma."""
+    base, offset = 0, {}
+    for i in sorted(range(len(sigma)), key=sigma.__getitem__):
+        offset[i] = base
+        base += len(blocks[i])
+    return tuple(offset[i] + v for i, block in enumerate(blocks) for v in block)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_inflating_a_no_growth_permutation_is_inverted(data):
+    """The decomposition p -> (condensed sigma, one full block per tile), run backwards.
+
+    Separable permutations are full, and a no-growth sigma keeps any two
+    blocks from merging, so the final tiles and melds are the blocks.
+    """
+    m = data.draw(st.sampled_from([1, *range(4, 41)]))
+    sigma = random_no_growth(m, data.draw(st.randoms(use_true_random=False)))
+    blocks = data.draw(st.lists(separable_perms(max_n=8), min_size=m, max_size=m))
+    p = inflate(sigma, blocks)
+    starts = list(itertools.accumulate((len(b) for b in blocks[:-1]), initial=1))
+    for direction in ("left", "right"):
+        outcome = merge_run(p, direction)
+        assert outcome.full == (m == 1)
+        assert [(t.start, t.end) for t in outcome.melds] == [
+            (s, s + len(b) - 1) for s, b in zip(starts, blocks)]
+        assert [reduced(t.word()) for t in outcome.melds] == blocks
+    if len(p) <= 60:  # the cell-level run takes about n^2 steps
+        fc = final_configuration(p)
+        assert fc.sizes == tuple(map(len, blocks))
+        assert [t.col for t in fc.tiles] == starts
+        assert fc.condensed == sigma
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_decomposition_round_trip_exhaustive(n):
+    for p in itertools.permutations(range(1, n + 1)):
+        fc = final_configuration(p)
+        blocks = [reduced(p[t.col - 1:t.col - 1 + t.size]) for t in fc.tiles]
+        assert inflate(fc.condensed, blocks) == p
+        assert all(is_full(b) for b in blocks)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
