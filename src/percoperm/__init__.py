@@ -34,6 +34,7 @@ from .melds import (
     Kind,
     Meld,
     MergeOutcome,
+    bracket_strings,
     components_via_bracketing,
     merge_eager,
     merge_run,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import NoReturn
 
 import click
@@ -55,14 +55,25 @@ def _parse_perm_arg(text: str):
 
 
 def _parse_script(text: str) -> list[tuple[int, int]]:
-    cells = []
-    for tok in text.split():
-        row, _, col = tok.partition(",")
-        try:
-            cells.append((int(row), int(col)))
-        except ValueError:
-            _fail(f"bad script token {tok!r}: expected row,col")
-    return cells
+    """Cells of ``--script``: whitespace-separated ``row,col`` tokens, each side read by int().
+
+    A script repeats few distinct values, so int() runs once per distinct
+    side and builtins do the rest; the loop only names the first bad token.
+    """
+    parts = list(chain.from_iterable(map(str.partition, text.split(), repeat(","))))
+    rows, cols = parts[::3], parts[2::3]
+    sides = {*rows, *cols}
+    try:
+        value = dict(zip(sides, map(int, sides)))
+    except ValueError:
+        for tok in text.split():
+            row, _, col = tok.partition(",")
+            try:
+                int(row), int(col)
+            except ValueError:
+                _fail(f"bad script token {tok!r}: expected row,col")
+        raise
+    return list(zip(map(value.__getitem__, rows), map(value.__getitem__, cols)))
 
 
 @click.group()
@@ -140,11 +151,11 @@ def cmd_bracket(perm: str, direction: str, fmt: str) -> None:
             outcome = melds.merge_eager(p)
         except ValueError as exc:
             _fail(str(exc))
+        strings, full = [melds.serialize_meld(m) for m in outcome.melds], outcome.full
     else:
-        outcome = melds.merge_run(p, direction)
-    strings = [melds.serialize_meld(m) for m in outcome.melds]
+        strings, full = melds.bracket_strings(p, direction)
     if fmt == "json":
-        click.echo(json.dumps({"melds": strings, "full": outcome.full}))
+        click.echo(json.dumps({"melds": strings, "full": full}))
         return
     for s in strings:
         click.echo(s)

@@ -29,6 +29,7 @@ __all__ = [
     "MergeOutcome",
     "merge_run",
     "merge_eager",
+    "bracket_strings",
     "serialize_meld",
     "parse_meld",
     "top_level_kind",
@@ -53,11 +54,16 @@ class Meld(NamedTuple):
     Trees can be as deep as the permutation is long, so nothing here
     walks them recursively.
 
-    A tree has one node per leaf and one per merge, so the hot loops
-    (``merge_run``, ``parse_meld``, ``serialize_meld``) build nodes with
-    ``tuple.__new__(Meld, fields)`` and read fields by index: the
-    NamedTuple constructor is a Python-level ``__new__`` and costs a
-    Python call per node.  Field order is ``_fields``.
+    Trees are built only by ``merge_run``, ``merge_eager`` and
+    ``parse_meld``.  A tree has one node per leaf and one per merge, each
+    an instance of a tuple subclass that the cyclic garbage collector
+    tracks, so ``bracket_strings``, ``top_level_kind`` and
+    ``components_via_bracketing`` read merge records and build none.
+    ``merge_run`` and ``parse_meld`` build nodes with
+    ``tuple.__new__(Meld, fields)``, and they and ``serialize_meld`` read
+    fields by index: the NamedTuple constructor is a Python-level
+    ``__new__`` and costs a Python call per node.  Field order is
+    ``_fields``.
 
     Equality, hashing and ``repr`` are tuple's, which recurse in C:
     comparing two distinct trees of n = 10^5 values raises RecursionError.
@@ -117,50 +123,114 @@ def _mergeable(a: Meld, b: Meld) -> bool:
     return a.hi + 1 == b.lo or b.hi + 1 == a.lo
 
 
-def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
-    """Run the left- or right-merging algorithm to exhaustion.
+# A merge record's kind: the index into these, 0 for Round and 1 for Square.
+_KINDS = (_ROUND, _SQUARE)
+_OPENERS, _CLOSERS = "([", ")]"
 
-    Left merging always merges the leftmost mergeable adjacent pair,
-    right merging the rightmost.  Both are one O(n) pass over a stack of
-    melds, from the left or the right end: push each leaf and merge it
-    with the top while their value intervals abut.  Adjacent melds below
-    the top are never mergeable, so each merge is the one a scan from
-    that end would find first.
 
-    The loop runs once per node, so it keeps the new meld's interval in
-    locals, reads the top's fields by index and builds nodes with
-    ``tuple.__new__`` (see ``Meld``).  Which side abuts gives the kind.
+def _merges(p: Word, direction: str) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int]]]:
+    """Left or right merging of the valid permutation p, as integer records.
+
+    Returns the merges in the order they happen, each as ``(open, close,
+    split, kind)``: the meld spans positions open..close, its left child
+    ends at split and its right child starts at split + 1, and kind
+    indexes ``_KINDS``.  Also returns the final melds' position spans
+    ``(start, end)``, left to right.  A later merge that opens or closes
+    at a position encloses every earlier one there.
+
+    Both directions are one O(n) pass over a stack of melds, from the
+    left or the right end: push each leaf and merge it with the top while
+    their value intervals abut.  Adjacent melds below the top are never
+    mergeable, so each merge is the one a scan from that end would find
+    first.  A stack entry is ``(lo, hi, edge)``: its value interval and
+    its position at the far end from the scan's start.  The loop builds
+    no ``Meld``, so it makes nothing the cyclic garbage collector keeps
+    tracking.
     """
-    p = check_permutation(p)
     if direction not in ("left", "right"):
         raise ValueError(f"unknown direction {direction!r}")
     left = direction == "left"
+    n = len(p)
     # From the right end the new meld is the left child, and the stack
     # holds the melds right to left.  The kind when the top's values lie
     # below the new meld's, and when they lie above:
-    below, above = (_ROUND, _SQUARE) if left else (_SQUARE, _ROUND)
-    positions = range(1, len(p) + 1) if left else range(len(p), 0, -1)
-    stack: list[Meld] = []
+    below, above = (0, 1) if left else (1, 0)
+    positions = range(1, n + 1) if left else range(n, 0, -1)
+    records: list[tuple[int, int, int, int]] = []
+    record = records.append
+    stack: list[tuple[int, int, int]] = []
     for pos, value in zip(positions, p if left else reversed(p)):
-        node = _new(Meld, (value, value, pos, pos, None, None, None))
         lo = hi = value
+        edge = pos
         while stack:
-            top = stack[-1]
-            if top[1] + 1 == lo:
-                lo, kind = top[0], below
-            elif hi + 1 == top[0]:
-                hi, kind = top[1], above
+            top_lo, top_hi, top_edge = stack[-1]
+            if top_hi + 1 == lo:
+                lo, kind = top_lo, below
+            elif hi + 1 == top_lo:
+                hi, kind = top_hi, above
             else:
                 break
             stack.pop()
             if left:
-                node = _new(Meld, (lo, hi, top[2], pos, kind, top, node))
+                record((top_edge, pos, edge - 1, kind))
             else:
-                node = _new(Meld, (lo, hi, pos, top[3], kind, node, top))
-        stack.append(node)
-    if not left:
-        stack.reverse()
-    return MergeOutcome(tuple(stack), len(stack) == 1)
+                record((pos, top_edge, edge, kind))
+            edge = top_edge
+        stack.append((lo, hi, edge))
+    edges = [entry[2] for entry in stack]
+    if left:
+        spans = list(zip(edges, [start - 1 for start in edges[1:]] + [n]))
+    else:
+        edges.reverse()
+        spans = list(zip([1] + [end + 1 for end in edges[:-1]], edges))
+    return records, spans
+
+
+def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
+    """Run the left- or right-merging algorithm to exhaustion.
+
+    Left merging always merges the leftmost mergeable adjacent pair,
+    right merging the rightmost.  The merges are ``_merges``'s records,
+    built into ``Meld`` trees: a record's children are the largest melds
+    so far that start at its open and just past its split.
+    """
+    p = check_permutation(p)
+    records, spans = _merges(p, direction)
+    nodes = [None] + [_new(Meld, (v, v, i, i, None, None, None)) for i, v in enumerate(p, 1)]
+    for start, end, split, kind in records:
+        a = nodes[start]
+        b = nodes[split + 1]
+        if kind:
+            nodes[start] = _new(Meld, (b[0], a[1], start, end, _SQUARE, a, b))
+        else:
+            nodes[start] = _new(Meld, (a[0], b[1], start, end, _ROUND, a, b))
+    return MergeOutcome(tuple(nodes[start] for start, _ in spans), len(spans) == 1)
+
+
+def bracket_strings(p: Sequence[int], direction: str = "left") -> tuple[list[str], bool]:
+    """The final melds of left or right merging as bracketing strings, and fullness.
+
+    The same strings as ``serialize_meld`` over ``merge_run(p,
+    direction).melds``, written from the merge records with no tree: each
+    position holds its open brackets outermost (last made) first, its
+    value and its close brackets innermost (first made) first, and
+    positions are joined by one space.  Each position's brackets are
+    joined once, so 10^5 brackets at one position stay linear.
+    """
+    p = check_permutation(p)
+    records, spans = _merges(p, direction)
+    opens: dict[int, list[str]] = {}
+    closes: dict[int, list[str]] = {}
+    for start, _, _, kind in reversed(records):
+        opens.setdefault(start, []).append(_OPENERS[kind])
+    for _, end, _, kind in records:
+        closes.setdefault(end, []).append(_CLOSERS[kind])
+    text = list(map(str, p))
+    for pos, brackets in opens.items():
+        text[pos - 1] = "".join(brackets) + text[pos - 1]
+    for pos, brackets in closes.items():
+        text[pos - 1] += "".join(brackets)
+    return [" ".join(text[start - 1 : end]) for start, end in spans], len(spans) == 1
 
 
 def merge_eager(p: Sequence[int]) -> MergeOutcome:
@@ -280,30 +350,38 @@ def top_level_kind(p: Sequence[int]) -> Kind:
     """Kind of the root bracket of a full permutation (n >= 2).
 
     The kind is algorithm-independent: Square iff p is indecomposable.
+    The root is the last merge of left merging.
     """
-    outcome = merge_run(p, "left")  # validates p
-    if outcome.melds[-1].end < 2:
+    p = check_permutation(p)
+    if len(p) < 2:
         raise ValueError("top-level kind requires n >= 2")
-    if not outcome.full:
+    records, spans = _merges(p, "left")
+    if len(spans) > 1:
         raise ValueError("permutation is not full")
-    return outcome.melds[0].kind
+    return _KINDS[records[-1][3]]
 
 
 def components_via_bracketing(p: Sequence[int]) -> list[Word]:
     """Indecomposable components read off the left bracketing of a full permutation.
 
     While the root is Round its right child is the rightmost remaining
-    component; peeling iteratively yields comps(p).
+    component; peeling iteratively yields comps(p).  The spine peeled is
+    the merges that open at position 1, outermost (last made) first:
+    each one's left child is the next one, or the leaf at position 1,
+    and its right child starts just past its split.
     """
-    p = tuple(p)  # the tuple merge_run validates, so the slices below are words
-    outcome = merge_run(p, "left")
-    if not outcome.full:
+    p = check_permutation(p)
+    records, spans = _merges(p, "left")
+    if len(spans) > 1:
         raise ValueError("permutation is not full")
-    node = outcome.melds[0]
     rear: list[Word] = []
-    while node[4] is _ROUND:  # kind, read by index as merge_run does (see Meld)
-        right = node[6]
-        rear.append(p[right[2] - 1 : right[3]])
-        node = node[5]
-    rear.append(p[node.start - 1 : node.end])
+    end = len(p)
+    for start, _, split, kind in reversed(records):
+        if start != 1:
+            continue
+        if kind:  # Square: positions 1..end form one component
+            break
+        rear.append(p[split:end])
+        end = split
+    rear.append(p[:end])
     return rear[::-1]

@@ -2,15 +2,17 @@ import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import percoperm
 from percoperm import counting, percolation, series
-from percoperm.cli import PERCOLATE_MAX_N, PLAIN_TRACE_MAX_N, SEQUENCE_MAX, main
+from percoperm.cli import PERCOLATE_MAX_N, PLAIN_TRACE_MAX_N, SEQUENCE_MAX, _parse_script, main
 from percoperm.melds import EAGER_MAX_N, merge_run, serialize_meld
 from test_melds import DEEP_PERMS
 from test_percolation import inflate
@@ -95,7 +97,7 @@ class TestPercolate:
         assert result.exit_code == 2
 
     def test_bad_script_token(self):
-        for script in ["1,2,3", "1", "a,b", "2,2 1,x"]:
+        for script in ["1,2,3", "1", "a,b", "2,2 1,x", ",", "1,", ",2"]:
             result = run("percolate", "213", "--policy", "scripted", "--script", script)
             assert result.exit_code == 2
             assert isinstance(result.exception, SystemExit)
@@ -103,6 +105,16 @@ class TestPercolate:
             bad = script.split()[-1]
             assert result.output.splitlines()[-1] == (
                 f"Error: bad script token {bad!r}: expected row,col")
+
+    def test_script_sides_are_read_by_int(self):
+        # Forms int() accepts: a sign, underscores, non-ASCII digits, any whitespace between tokens.
+        assert _parse_script("+1,2\t3,-4\n\u0663,1_0  0,+0") == [(1, 2), (3, -4), (3, 10), (0, 0)]
+        assert _parse_script(" ") == []
+        steps = json.loads(run("percolate", "213", "--format", "json").output)["steps"]
+        script = " ".join(f"{s['row']},{s['col']}" for s in steps)
+        signed = "\t".join(f"+{s['row']},0{s['col']}" for s in steps)
+        assert run("percolate", "213", "--policy", "scripted", "--script", signed).output == (
+            run("percolate", "213", "--policy", "scripted", "--script", script).output)
 
     def test_script_needs_scripted_policy(self):
         for policy in ["first-scan", "random"]:
@@ -178,6 +190,28 @@ class TestBracket:
 
     def test_parse_error_exit_2(self):
         assert run("bracket", "").exit_code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# README's CLI lines whose comment, up to a ";", is their whole stdout.
+README_OUTPUTS = {
+    "percoperm bracket 1324 --left": "((1 [3 2]) 4)",
+    "percoperm bracket 4231 --eager": "[4 [(2 3) 1]]",
+    'percoperm comps "2 4 1 3 5 8 6 7"': "(2413)(5)(867)",
+}
+
+
+def test_readme_cli_lines_print_their_comment():
+    comments = {}
+    for line in README.read_text().splitlines():
+        command, sep, comment = line.partition("#")
+        if line.startswith("percoperm ") and sep:
+            comments[command.strip()] = comment.split(";")[0].strip()
+    for command, output in README_OUTPUTS.items():
+        assert comments[command] == output, command
+        result = run(*shlex.split(command)[1:])
+        assert result.exit_code == 0
+        assert result.stdout == output + "\n", command
 
 
 class TestStdin:

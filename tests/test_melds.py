@@ -11,6 +11,7 @@ from percoperm.melds import (
     EAGER_MAX_N,
     Kind,
     Meld,
+    bracket_strings,
     components_via_bracketing,
     merge_eager,
     merge_run,
@@ -137,8 +138,10 @@ def assert_matches_restart_scan(p, direction):
     expected = restart_scan_merge(p, direction)
     out = merge_run(p, direction)
     assert list(out.melds) == expected
-    assert [serialize_meld(m) for m in out.melds] == [serialize_meld(m) for m in expected]
+    strings = [serialize_meld(m) for m in out.melds]
+    assert strings == [serialize_meld(m) for m in expected]
     assert out.full == (len(expected) == 1)
+    assert bracket_strings(p, direction) == (strings, out.full)
 
 
 class TestGoldenBracketings:
@@ -167,6 +170,14 @@ class TestGoldenBracketings:
         out = merge_run((2, 4, 1, 3), "left")
         assert not out.full
         assert [serialize_meld(m) for m in out.melds] == ["2", "4", "1", "3"]
+
+
+@pytest.mark.parametrize("func", [merge_run, bracket_strings])
+def test_rejects_bad_permutation_then_bad_direction(func):
+    with pytest.raises(ValueError, match="^duplicate value 1$"):
+        func((1, 1), "up")
+    with pytest.raises(ValueError, match="^unknown direction 'up'$"):
+        func((1,), "up")
 
 
 class TestEager:
@@ -483,6 +494,8 @@ def test_deep_trees_need_no_recursion(name):
     assert len(left) == len(right) == 1
     assert right[0].word() == p
     text = serialize_meld(left[0])
+    assert bracket_strings(p, "left") == ([text], True)
+    assert bracket_strings(p, "right") == ([serialize_meld(right[0])], True)
     parsed = parse_meld(text)
     assert parsed.word() == p
     assert serialize_meld(parsed) == text
