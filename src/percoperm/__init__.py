@@ -36,7 +36,6 @@ from .melds import (
     MergeOutcome,
     bracket_strings,
     components_via_bracketing,
-    merge_eager,
     merge_run,
     parse_meld,
     serialize_meld,

@@ -146,14 +146,10 @@ def cmd_percolate(perm: str, policy: str, seed: int, script: str | None, fmt: st
 def cmd_bracket(perm: str, direction: str, fmt: str) -> None:
     """Print the final bracketing(s) of PERM, one meld per line."""
     p = _parse_perm_arg(perm)
-    if direction == "eager":
-        try:
-            outcome = melds.merge_eager(p)
-        except ValueError as exc:
-            _fail(str(exc))
-        strings, full = [melds.serialize_meld(m) for m in outcome.melds], outcome.full
-    else:
+    try:
         strings, full = melds.bracket_strings(p, direction)
+    except ValueError as exc:
+        _fail(str(exc))
     if fmt == "json":
         click.echo(json.dumps({"melds": strings, "full": full}))
         return

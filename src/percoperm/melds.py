@@ -15,11 +15,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .perm import Word, check_permutation
 
-# merge_eager restarts its scan after every pass, and a pass can merge as few
+# Eager merging restarts its scan after every pass, and a pass can merge as few
 # as one pair: the spiral 1 n 2 n-1 3 ..., the slowest input known, takes
-# 0.5 s at n = 2,000 and 0.8-1.3 s at n = 2,500 (Python 3.11, one core),
-# growing as n^2.  Odd values up then even values down take about half as
-# long: 0.24 s at n = 2,000 and 1.1-1.5 s at n = 4,000.
+# 0.2 s at n = 2,000, 0.44-0.5 s at n = 2,500 and 1.0-1.2 s at n = 4,000,
+# growing as n^2 (Python 3.11, one call in a fresh process, busy 2-vCPU
+# machine).  Odd values up then even values down take about half as long:
+# 0.11-0.18 s at n = 2,000 and 0.2-0.3 s at n = 2,500.
 EAGER_MAX_N = 2_500
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "Meld",
     "MergeOutcome",
     "merge_run",
-    "merge_eager",
     "bracket_strings",
     "serialize_meld",
     "parse_meld",
@@ -54,10 +54,10 @@ class Meld(NamedTuple):
     Trees can be as deep as the permutation is long, so nothing here
     walks them recursively.
 
-    Trees are built only by ``merge_run``, ``merge_eager`` and
-    ``parse_meld``.  A tree has one node per leaf and one per merge, each
-    an instance of a tuple subclass that the cyclic garbage collector
-    tracks, so ``bracket_strings``, ``top_level_kind`` and
+    Trees are built only by ``merge_run`` and ``parse_meld``.  A tree
+    has one node per leaf and one per merge, each an instance of a tuple
+    subclass that the cyclic garbage collector tracks, so
+    ``bracket_strings``, ``top_level_kind`` and
     ``components_via_bracketing`` read merge records and build none.
     ``merge_run`` and ``parse_meld`` build nodes with
     ``tuple.__new__(Meld, fields)``, and they and ``serialize_meld`` read
@@ -78,20 +78,6 @@ class Meld(NamedTuple):
     kind: Kind | None = None
     left: "Meld | None" = None
     right: "Meld | None" = None
-
-    @classmethod
-    def leaf(cls, value: int, pos: int) -> "Meld":
-        return _new(cls, (value, value, pos, pos, None, None, None))
-
-    @classmethod
-    def merge(cls, left: "Meld", right: "Meld") -> "Meld":
-        if left.end + 1 != right.start:
-            raise ValueError("melds are not position-adjacent")
-        if left.hi + 1 == right.lo:
-            return _new(cls, (left.lo, right.hi, left.start, right.end, _ROUND, left, right))
-        if right.hi + 1 == left.lo:
-            return _new(cls, (right.lo, left.hi, left.start, right.end, _SQUARE, left, right))
-        raise ValueError("meld values do not form a consecutive interval")
 
     @property
     def is_leaf(self) -> bool:
@@ -119,17 +105,54 @@ class MergeOutcome(NamedTuple):
     full: bool
 
 
-def _mergeable(a: Meld, b: Meld) -> bool:
-    return a.hi + 1 == b.lo or b.hi + 1 == a.lo
-
-
 # A merge record's kind: the index into these, 0 for Round and 1 for Square.
 _KINDS = (_ROUND, _SQUARE)
 _OPENERS, _CLOSERS = "([", ")]"
 
 
+def _eager_merges(p: Word) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int]]]:
+    """Eager merging of the valid permutation p: ``_merges``'s records and spans.
+
+    A pass walks the melds left to right, merges each adjacent pair whose
+    value intervals abut and re-merges the fresh meld with its right
+    neighbour while it can; passes repeat until one merges nothing.  A
+    meld is ``(lo, hi, start)``: its value interval and first position.
+    The walk tests each pair once and, on a merge, deletes the right meld
+    and writes the fresh one in place of the left.  Each pass is O(n)
+    and there can be n of them, so inputs longer than EAGER_MAX_N raise
+    ValueError.
+    """
+    n = len(p)
+    if n > EAGER_MAX_N:
+        raise ValueError(f"eager merging is limited to n <= {EAGER_MAX_N}, got n = {n}")
+    records: list[tuple[int, int, int, int]] = []
+    record = records.append
+    parts = [(v, v, i) for i, v in enumerate(p, 1)]
+    merged = True
+    while merged:
+        merged = False
+        lo, hi, start = parts[0]
+        i = 1
+        while i < len(parts):
+            b_lo, b_hi, b_start = parts[i]
+            if hi + 1 == b_lo:
+                hi, kind = b_hi, 0
+            elif b_hi + 1 == lo:
+                lo, kind = b_lo, 1
+            else:
+                lo, hi, start = b_lo, b_hi, b_start
+                i += 1
+                continue
+            del parts[i]
+            parts[i - 1] = (lo, hi, start)
+            record((start, parts[i][2] - 1 if i < len(parts) else n, b_start - 1, kind))
+            merged = True
+    starts = [part[2] for part in parts]
+    return records, list(zip(starts, [s - 1 for s in starts[1:]] + [n]))
+
+
 def _merges(p: Word, direction: str) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int]]]:
-    """Left or right merging of the valid permutation p, as integer records.
+    """Left, right or eager merging of the valid permutation p, as integer records.
 
     Returns the merges in the order they happen, each as ``(open, close,
     split, kind)``: the meld spans positions open..close, its left child
@@ -138,15 +161,17 @@ def _merges(p: Word, direction: str) -> tuple[list[tuple[int, int, int, int]], l
     ``(start, end)``, left to right.  A later merge that opens or closes
     at a position encloses every earlier one there.
 
-    Both directions are one O(n) pass over a stack of melds, from the
-    left or the right end: push each leaf and merge it with the top while
-    their value intervals abut.  Adjacent melds below the top are never
-    mergeable, so each merge is the one a scan from that end would find
-    first.  A stack entry is ``(lo, hi, edge)``: its value interval and
-    its position at the far end from the scan's start.  The loop builds
-    no ``Meld``, so it makes nothing the cyclic garbage collector keeps
-    tracking.
+    Left and right merging are each one O(n) pass over a stack of melds,
+    from the left or the right end: push each leaf and merge it with the
+    top while their value intervals abut.  Adjacent melds below the top
+    are never mergeable, so each merge is the one a scan from that end
+    would find first.  A stack entry is ``(lo, hi, edge)``: its value
+    interval and its position at the far end from the scan's start.  The
+    loop builds no ``Meld``, so it makes nothing the cyclic garbage
+    collector keeps tracking.  Eager merging is ``_eager_merges``.
     """
+    if direction == "eager":
+        return _eager_merges(p)
     if direction not in ("left", "right"):
         raise ValueError(f"unknown direction {direction!r}")
     left = direction == "left"
@@ -187,12 +212,15 @@ def _merges(p: Word, direction: str) -> tuple[list[tuple[int, int, int, int]], l
 
 
 def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
-    """Run the left- or right-merging algorithm to exhaustion.
+    """Run the left-, right- or eager-merging algorithm to exhaustion.
 
     Left merging always merges the leftmost mergeable adjacent pair,
-    right merging the rightmost.  The merges are ``_merges``'s records,
-    built into ``Meld`` trees: a record's children are the largest melds
-    so far that start at its open and just past its split.
+    right merging the rightmost.  Eager merging (``_eager_merges``) can
+    break left merging's right-child property (4231 is the witness), so
+    nothing else in the package depends on it; it refuses inputs longer
+    than EAGER_MAX_N.  The merges are ``_merges``'s records, built into
+    ``Meld`` trees: a record's children are the largest melds so far
+    that start at its open and just past its split.
     """
     p = check_permutation(p)
     records, spans = _merges(p, direction)
@@ -208,7 +236,7 @@ def merge_run(p: Sequence[int], direction: str = "left") -> MergeOutcome:
 
 
 def bracket_strings(p: Sequence[int], direction: str = "left") -> tuple[list[str], bool]:
-    """The final melds of left or right merging as bracketing strings, and fullness.
+    """The final melds of left, right or eager merging as bracketing strings, and fullness.
 
     The same strings as ``serialize_meld`` over ``merge_run(p,
     direction).melds``, written from the merge records with no tree: each
@@ -231,35 +259,6 @@ def bracket_strings(p: Sequence[int], direction: str = "left") -> tuple[list[str
     for pos, brackets in closes.items():
         text[pos - 1] += "".join(brackets)
     return [" ".join(text[start - 1 : end]) for start, end in spans], len(spans) == 1
-
-
-def merge_eager(p: Sequence[int]) -> MergeOutcome:
-    """The "eager" reading of left-to-right merging.
-
-    A single traversal merges pairs as it finds them, and a freshly
-    created meld is immediately re-merged with its right neighbor while
-    possible; the traversal only restarts once the list is exhausted.
-    This variant can violate the right-child property that merge_run's
-    left direction guarantees (4231 is the witness), so nothing else in
-    the package depends on it.  Each pass is O(n) and there can be n of
-    them, so inputs longer than EAGER_MAX_N raise ValueError.
-    """
-    p = check_permutation(p)
-    if len(p) > EAGER_MAX_N:
-        raise ValueError(f"eager merging is limited to n <= {EAGER_MAX_N}, got n = {len(p)}")
-    melds = [Meld.leaf(v, i) for i, v in enumerate(p, 1)]
-    while True:
-        merged_any = False
-        i = 0
-        while i < len(melds) - 1:
-            if _mergeable(melds[i], melds[i + 1]):
-                merged_any = True
-                while i < len(melds) - 1 and _mergeable(melds[i], melds[i + 1]):
-                    melds[i : i + 2] = [Meld.merge(melds[i], melds[i + 1])]
-            i += 1
-        if not merged_any:
-            break
-    return MergeOutcome(tuple(melds), len(melds) == 1)
 
 
 def serialize_meld(m: Meld) -> str:

@@ -19,7 +19,6 @@ from percoperm.counting import (
 from percoperm.melds import (
     Kind,
     components_via_bracketing,
-    merge_eager,
     merge_run,
     serialize_meld,
     top_level_kind,
@@ -142,7 +141,7 @@ def test_criterion_07_golden_bracketings():
         serialize_meld(merge_run((1, 3, 2, 4), "left").melds[0]),
         serialize_meld(merge_run((1, 3, 2, 4), "right").melds[0]),
         serialize_meld(merge_run((4, 2, 3, 1), "left").melds[0]),
-        serialize_meld(merge_eager((4, 2, 3, 1)).melds[0]),
+        serialize_meld(merge_run((4, 2, 3, 1), "eager").melds[0]),
         serialize_meld(merge_run((3, 1, 2, 6, 4, 5, 7, 9, 8), "left").melds[0]),
     ]
     report(7, got == [

@@ -201,17 +201,35 @@ README_OUTPUTS = {
 }
 
 
+def seq_output(group):
+    """What a shell group of ``seq FIRST INCR LAST`` commands prints."""
+    values = []
+    for command in group.strip("{}; ").split(";"):
+        first, incr, last = map(int, command.split()[1:])
+        values += range(first, last + (1 if incr > 0 else -1), incr)
+    return "".join(f"{v}\n" for v in values)
+
+
+def readme_cli_lines():
+    """(command, stdin, comment) for each line of README's CLI block."""
+    block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        source, pipe, command = command.rpartition("| ")
+        yield command.strip(), seq_output(source) if pipe else None, comment
+
+
 def test_readme_cli_lines_print_their_comment():
-    comments = {}
-    for line in README.read_text().splitlines():
-        command, sep, comment = line.partition("#")
-        if line.startswith("percoperm ") and sep:
-            comments[command.strip()] = comment.split(";")[0].strip()
+    lines = list(readme_cli_lines())
+    comments = {command: comment.split(";")[0].strip() for command, _, comment in lines}
     for command, output in README_OUTPUTS.items():
         assert comments[command] == output, command
-        result = run(*shlex.split(command)[1:])
-        assert result.exit_code == 0
-        assert result.stdout == output + "\n", command
+    for command, stdin, _ in lines:
+        assert command.startswith("percoperm "), command
+        result = run(*shlex.split(command)[1:], input=stdin)
+        assert result.exit_code == 0, (command, result.output)
+        if command in README_OUTPUTS:
+            assert result.stdout == README_OUTPUTS[command] + "\n", command
 
 
 class TestStdin:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import pytest
@@ -13,7 +14,6 @@ from percoperm.melds import (
     Meld,
     bracket_strings,
     components_via_bracketing,
-    merge_eager,
     merge_run,
     parse_meld,
     serialize_meld,
@@ -22,6 +22,7 @@ from percoperm.melds import (
 from percoperm import melds, percolation
 from percoperm.percolation import final_configuration
 from percoperm.perm import comps, is_indecomposable, reduced, reverse
+from test_counting import has_non_separable_pattern
 
 
 def field_leaf(value, pos):
@@ -62,6 +63,30 @@ def restart_scan_merge(p, direction):
                 melds[i : i + 2] = [field_merge(a, b)]
                 break
         else:
+            return melds
+
+
+def eager_scan_merge(p):
+    """Reference eager merging: the restart scan, splicing one pair at a time.
+
+    A pass walks the meld list left to right; at a mergeable pair it
+    merges, and re-merges the fresh meld with its right neighbour while
+    it can, then moves on.  Passes repeat until one merges nothing.
+    """
+    def abut(a, b):
+        return a.hi + 1 == b.lo or b.hi + 1 == a.lo
+
+    melds = [field_leaf(v, i) for i, v in enumerate(p, 1)]
+    while True:
+        merged_any = False
+        i = 0
+        while i < len(melds) - 1:
+            if abut(melds[i], melds[i + 1]):
+                merged_any = True
+                while i < len(melds) - 1 and abut(melds[i], melds[i + 1]):
+                    melds[i : i + 2] = [field_merge(melds[i], melds[i + 1])]
+            i += 1
+        if not merged_any:
             return melds
 
 
@@ -144,6 +169,14 @@ def assert_matches_restart_scan(p, direction):
     assert bracket_strings(p, direction) == (strings, out.full)
 
 
+def assert_matches_eager_scan(p):
+    expected = eager_scan_merge(p)
+    out = merge_run(p, "eager")
+    assert list(out.melds) == expected
+    assert out.full == (len(expected) == 1)
+    assert bracket_strings(p, "eager") == ([serialize_meld(m) for m in expected], out.full)
+
+
 class TestGoldenBracketings:
     def test_left_1324(self):
         out = merge_run((1, 3, 2, 4), "left")
@@ -182,19 +215,38 @@ def test_rejects_bad_permutation_then_bad_direction(func):
 
 class TestEager:
     def test_4231_reproduces_the_ambiguity(self):
-        assert serialize_meld(merge_eager((4, 2, 3, 1)).melds[0]) == "[4 [(2 3) 1]]"
+        assert serialize_meld(merge_run((4, 2, 3, 1), "eager").melds[0]) == "[4 [(2 3) 1]]"
 
     def test_1324(self):
-        assert serialize_meld(merge_eager((1, 3, 2, 4)).melds[0]) == "(1 ([3 2] 4))"
+        assert serialize_meld(merge_run((1, 3, 2, 4), "eager").melds[0]) == "(1 ([3 2] 4))"
 
     def test_21(self):
-        assert serialize_meld(merge_eager((2, 1)).melds[0]) == "[2 1]"
+        assert serialize_meld(merge_run((2, 1), "eager").melds[0]) == "[2 1]"
         assert serialize_meld(merge_run((2, 1), "left").melds[0]) == "[2 1]"
 
     def test_size_gate(self):
-        assert merge_eager(range(EAGER_MAX_N, 0, -1)).full
+        assert merge_run(range(EAGER_MAX_N, 0, -1), "eager").full
         with pytest.raises(ValueError, match=f"n <= {EAGER_MAX_N}"):
-            merge_eager(range(EAGER_MAX_N + 1, 0, -1))
+            merge_run(range(EAGER_MAX_N + 1, 0, -1), "eager")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_eager_matches_eager_scan(n):
+    for p in itertools.permutations(range(1, n + 1)):
+        assert_matches_eager_scan(p)
+
+
+def test_bracket_eager_cli_matches_eager_scan():
+    runner = CliRunner()
+    for n in range(1, 7):
+        for p in itertools.permutations(range(1, n + 1)):
+            strings = [serialize_meld(m) for m in eager_scan_merge(p)]
+            perm = "".join(map(str, p))
+            plain = runner.invoke(main, ["bracket", perm, "--eager"])
+            assert plain.exit_code == 0 and plain.stdout == "".join(s + "\n" for s in strings), p
+            as_json = runner.invoke(main, ["bracket", perm, "--eager", "--format", "json"])
+            expected = json.dumps({"melds": strings, "full": len(strings) == 1}) + "\n"
+            assert as_json.exit_code == 0 and as_json.stdout == expected, p
 
 
 def test_merging_builds_no_grid_tiles(monkeypatch):
@@ -207,7 +259,7 @@ def test_merging_builds_no_grid_tiles(monkeypatch):
         out = merge_run(p, direction)
         assert list(out.melds) == restart_scan_merge(p, direction)
         assert not out.full
-    eager = merge_eager(p)
+    eager = merge_run(p, "eager")
     assert [serialize_meld(m) for m in eager.melds] == ["[6 [(4 5) 3]]", "(9 10)", "[2 1]", "[8 7]"]
     assert not eager.full
 
@@ -375,7 +427,7 @@ def left_child_property_holds(meld):
 
 
 def test_eager_violates_right_child_property():
-    eager_root = merge_eager((4, 2, 3, 1)).melds[0]
+    eager_root = merge_run((4, 2, 3, 1), "eager").melds[0]
     assert not right_child_property_holds(eager_root)
     left_root = merge_run((4, 2, 3, 1), "left").melds[0]
     assert right_child_property_holds(left_root)
@@ -452,6 +504,12 @@ def test_merge_run_matches_restart_scan_up_to_200(p, direction):
     assert_matches_restart_scan(p, direction)
 
 
+@settings(deadline=None)  # the oracle is quadratic
+@given(st.one_of(any_perms, separable_perms()))
+def test_eager_matches_eager_scan_up_to_200(p):
+    assert_matches_eager_scan(p)
+
+
 def reduce_after_dropping(p, i):
     x = p[i]
     return tuple(v - (v > x) for v in p[:i] + p[i + 1:])
@@ -476,6 +534,26 @@ def test_full_iff_avoids_2413_and_3142():
             if avoids:
                 avoiders.add(p)
             assert merge_run(p).full == avoids, p
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_full_iff_no_2413_or_3142_by_pattern_search(n):
+    """Fullness of the bracketing, and below n = 8 of cell-level percolation,
+    against a direct search for the two patterns."""
+    for p in itertools.permutations(range(1, n + 1)):
+        separable = not has_non_separable_pattern(p)
+        assert bracket_strings(p)[1] == separable, p
+        if n <= 7:
+            assert percolation.is_full(p) == separable, p
+
+
+@settings(deadline=None)
+@given(st.one_of(st.integers(1, 30).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple)),
+                 separable_perms(max_n=30)))
+def test_full_iff_no_2413_or_3142_up_to_30(p):
+    separable = not has_non_separable_pattern(p)
+    assert bracket_strings(p)[1] == separable
+    assert percolation.is_full(p) == separable
 
 
 DEEP_N = 10**5
@@ -510,7 +588,7 @@ def test_bracket_cli_on_deep_tree():
 
 
 def test_meld_fields_are_read_only():
-    m = Meld.merge(Meld.leaf(1, 1), Meld.leaf(2, 2))
+    m = merge_run((1, 2)).melds[0]
     for field in Meld._fields:
         with pytest.raises(AttributeError):
             setattr(m, field, None)
