@@ -51,6 +51,7 @@ from .series import (
     Series,
     a_abramson_moser,
     a_formula,
+    a_formula_table,
     a_via_series,
     compositions,
     schroeder_large,

@@ -18,11 +18,14 @@ from . import counting, melds, percolation, series
 from .perm import comps as perm_comps
 from .perm import parse_permutation
 
-# `sequence kings N` sums the integer terms of a_formula(k) for every k <= N,
-# about N^3 big-integer steps in all: 6 ms at N = 50, 41 ms at N = 100 and
-# 0.45 s at N = 200 (Python 3.11, one core).  From a shell on a busy 2-vCPU
-# machine every sequence at N = 50 takes 0.12-0.18 s, nearly all of it start-up:
-# the interpreter alone takes about 0.08 s and import percoperm.cli about 0.08 s.
+# `sequence` builds its terms up to N in one pass.  First call in a fresh
+# interpreter (Python 3.11, 2 vCPUs, 4 runs): kings 0.3-0.6 ms at N = 50,
+# 1.2-1.9 ms at N = 100 and 6.5-10 ms at N = 200 (a_formula_table, about N^2/2
+# additions on integers of O(N log N) bits); schroeder, little-schroeder and
+# full 0.2-0.4, 0.6-2.1 and 2.7-5.7 ms at the same sizes.  So the gate guards
+# no real cost at 50: it fixes the range the command accepts.  Past it, kings
+# grows to about 0.1 s at N = 500 and 1-1.6 s at N = 1000.  From a shell every
+# sequence at N = 50 takes 0.08-0.09 s, as long as importing percoperm.cli.
 SEQUENCE_MAX = 50
 # A full percolation takes about n^2 steps, each a few byte tests on a padded
 # board and a worklist insert, and the trace keeps every step.  percolate
@@ -250,7 +253,7 @@ def cmd_sequence(name: str, n: int, fmt: str) -> None:
         values = [series.schroeder_little(k) for k in range(n + 1)]
     elif name == "kings":
         header = f"# non-attacking kings counts a_0..a_{n}"
-        values = [1] + [series.a_formula(k) for k in range(1, n + 1)]
+        values = series.a_formula_table(n)
     else:
         header = f"# full-permutation counts p_1..p_{max(n, 1)}"
         values = [series.schroeder_large(k - 1) for k in range(1, max(n, 1) + 1)]

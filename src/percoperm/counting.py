@@ -361,12 +361,14 @@ def verify(n: int) -> list[tuple[str, int, tuple[int, str] | None]]:
     ``failure`` is None when every size from the first to n passes (or the
     check starts above n), else ``(k, detail)`` for the first failing size
     k, with both sides of the comparison in ``detail``.  The sizes 1..n are
-    counted once, by ``count_table(n, "all")``, whose range check applies.
+    counted once, by ``count_table(n, "all")``, whose range check applies,
+    and the explicit kings formula is read for all of them from one
+    ``series.a_formula_table(n)``.
     """
     p, q, a = {}, {}, {}
     for r in count_table(n, "all"):
         p[r.n], q[r.n], a[r.n] = r.p_n, r.q_n, r.a_n
-    kings = series.a_via_series(n)
+    kings, formula = series.a_via_series(n), series.a_formula_table(n)
 
     def factorial_identity(k):
         lhs, rhs = _factorial_identity(k, p, a)
@@ -382,7 +384,7 @@ def verify(n: int) -> list[tuple[str, int, tuple[int, str] | None]]:
         return f"p={p[k]} S_{k - 1}={large} q={q[k]} s_{k - 1}={little}"
 
     def kings_four_way(k):
-        values = (a[k], series.a_formula(k), series.a_abramson_moser(k), kings[k])
+        values = (a[k], formula[k], series.a_abramson_moser(k), kings[k])
         if len(set(values)) == 1:
             return None
         return "a={} formula={} abramson-moser={} series={}".format(*values)

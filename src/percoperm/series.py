@@ -31,6 +31,7 @@ __all__ = [
     "a_via_series",
     "a_formula",
     "a_formula_terms",
+    "a_formula_table",
     "a_abramson_moser",
 ]
 
@@ -197,25 +198,41 @@ def a_via_series(n: int) -> Series:
     return series_compose(series_epsilon(n), series_g(n))
 
 
+def _kings_rows(n: int) -> Iterator[list[int]]:
+    """Rows m = 0..n of the kings triangle: row m is c_m[0..n - m].
+
+    c_m[k] is the t^k coefficient of F_m = ((1 + t)/(1 - t))^m.  Since
+    (1 - t) F_m = (1 + t) F_{m-1}, c_m[0] = 1 and c_m[k] = c_m[k-1] +
+    c_{m-1}[k] + c_{m-1}[k-1], starting from F_0 = 1.  Each row is one
+    pass of integer additions over the row before it, so the whole
+    triangle costs about n^2/2 additions.
+    """
+    row = [1] + [0] * n
+    yield row
+    for _ in range(n):
+        prev, row = row, [1]
+        for k in range(1, len(prev) - 1):
+            row.append(row[-1] + prev[k] + prev[k - 1])
+        yield row
+
+
 def _kings_terms(n: int) -> Iterator[tuple[int, int, int]]:
     """(m, 2^m * inner, term) for m = 1..n, the terms of the explicit kings formula.
 
     inner = sum over compositions of n into m parts of 2^(-#parts equal to
-    1).  Grouped by the number j of parts equal to 1 (choose their
-    positions, then compose the remaining n - j into m - j parts >= 2, in
-    C(n - m - 1, m - j - 1) ways, or 1 way when j = m = n), 2^m * inner =
-    sum_j C(m, j) * count_j * 2^(m - j), an integer.  So is the term
-    (-1)^n * m! * (-2)^m * inner = (-1)^(n + m) * m! * 2^m * inner.
+    1), and 2^m * inner = c_m[n - m] (see a_formula_terms), the last entry
+    of row m of the kings triangle (_kings_rows): the terms of one n read
+    its antidiagonal.  The term (-1)^n * m! * (-2)^m * inner =
+    (-1)^(n + m) * m! * c_m[n - m] is an integer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    rows = _kings_rows(n)
+    next(rows)
     factorial = 1
-    for m in range(1, n + 1):
+    for m, row in enumerate(rows, 1):
         factorial *= m
-        scaled = sum(math.comb(m, j) * math.comb(n - m - 1, m - j - 1) << (m - j)
-                     for j in range(max(0, 2 * m - n), m))
-        if m == n:
-            scaled += 1
+        scaled = row[-1]
         yield m, scaled, (-1) ** (n + m) * factorial * scaled
 
 
@@ -225,6 +242,12 @@ def a_formula_terms(n: int) -> list[tuple[Fraction, int]]:
     Returns, for m = 1..n, the inner sum over compositions of n into m
     parts of 2^(-pi_1) together with the signed term
     (-1)^n * m! * (-2)^m * inner; the terms sum to the kings count.
+
+    Since 2^m * 2^(-#parts equal to 1) = 2^(#parts >= 2), 2^m * inner sums,
+    over the compositions of n into m parts, the product of the part
+    weights w(1) = 1 and w(k >= 2) = 2.  That is [t^n] W(t)^m with
+    W(t) = t + 2t^2 + 2t^3 + ... = t(1 + t)/(1 - t), so 2^m * inner =
+    [t^(n - m)] ((1 + t)/(1 - t))^m = c_m[n - m] in the kings triangle.
     """
     # Imported here, its one use: fractions loads decimal, which no command needs.
     from fractions import Fraction
@@ -236,9 +259,36 @@ def a_formula(n: int) -> int:
     """Number of non-attacking kings placements (one per row and column).
 
     Explicit alternating formula over compositions:
-    a_n = (-1)^n sum_{m=1}^{n} m! (-2)^m sum_{C(n,m)} 2^(-pi_1).
+    a_n = (-1)^n sum_{m=1}^{n} m! (-2)^m sum_{C(n,m)} 2^(-pi_1)
+        = sum_{m=1}^{n} (-1)^(n - m) m! c_m[n - m],
+    where c_m[k] is the t^k coefficient of ((1 + t)/(1 - t))^m (see
+    a_formula_terms for the step, _kings_rows for the triangle of c).
     """
     return sum(term for _, _, term in _kings_terms(n))
+
+
+def a_formula_table(n: int) -> list[int]:
+    """a_0..a_n by the explicit kings formula, all from one kings triangle.
+
+    a_k = sum_{m=0}^{k} (-1)^(k - m) m! c_m[k - m] (see a_formula; the
+    m = 0 entry gives a_0 = 1), so row m of the triangle adds its entries,
+    times m! and with alternating signs, to a_m..a_n: about n^2/2
+    additions and n^2/2 multiplications for every size at once.
+
+    >>> a_formula_table(8)
+    [1, 1, 0, 0, 2, 14, 90, 646, 5242]
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a = [0] * (n + 1)
+    factorial = 1
+    for m, row in enumerate(_kings_rows(n)):
+        factorial *= m or 1
+        weight = factorial
+        for k, c in enumerate(row, m):
+            a[k] += weight * c
+            weight = -weight
+    return a
 
 
 def a_abramson_moser(n: int) -> int:

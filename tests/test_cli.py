@@ -16,6 +16,7 @@ from percoperm.cli import PERCOLATE_MAX_N, PLAIN_TRACE_MAX_N, SEQUENCE_MAX, _par
 from percoperm.melds import EAGER_MAX_N, merge_run, serialize_meld
 from test_melds import DEEP_PERMS
 from test_percolation import inflate
+from test_series import kings_by_binomials
 
 
 def run(*args, env=None, input=None):
@@ -360,7 +361,7 @@ class TestVerify:
     @pytest.mark.parametrize("module, name, wrong_at, failures", [
         (series, "schroeder_little", 6, {
             2: "FAIL schroeder-agreement n=7: p=1806 S_6=1806 q=903 s_6=904"}),
-        (series, "a_formula", 5, {
+        (series, "a_formula_table", 5, {
             3: "FAIL kings-four-way n=5: a=14 formula=15 abramson-moser=14 series=14"}),
         (counting, "q_n", 6, {
             1: "FAIL half-lemma n=6: 2*q=396 p=394",
@@ -372,7 +373,11 @@ class TestVerify:
     def test_failure_names_first_failing_n(self, monkeypatch, module, name, wrong_at, failures):
         # One value is made one too large at one size; each check that reads it
         # must name that size and print both sides.
-        if module is series:
+        if name == "a_formula_table":
+            real = series.a_formula_table
+            monkeypatch.setattr(series, name, lambda n: [
+                v + (k == wrong_at) for k, v in enumerate(real(n))])
+        elif module is series:
             real = getattr(series, name)
             monkeypatch.setattr(series, name, lambda k: real(k) + (k == wrong_at))
         else:
@@ -420,6 +425,19 @@ class TestSequence:
         assert result.output.splitlines()[1:] == [
             "1", "1", "0", "0", "2", "14", "90", "646", "5242",
         ]
+
+    def test_kings_matches_binomial_oracle(self):
+        values = [1]
+        for n in range(SEQUENCE_MAX + 1):
+            if n:
+                values.append(kings_by_binomials(n))
+            plain = run("sequence", "kings", str(n))
+            assert plain.exit_code == 0
+            assert plain.stdout == "".join(
+                f"{line}\n" for line in [f"# non-attacking kings counts a_0..a_{n}", *values])
+            as_json = run("sequence", "kings", str(n), "--format", "json")
+            assert as_json.exit_code == 0
+            assert as_json.stdout == json.dumps(values) + "\n"
 
     def test_little_schroeder(self):
         result = run("sequence", "little-schroeder", "5")

@@ -12,6 +12,7 @@ from percoperm.series import (
     Series,
     a_abramson_moser,
     a_formula,
+    a_formula_table,
     a_formula_terms,
     a_via_series,
     binomial,
@@ -161,6 +162,25 @@ class TestCompose:
         assert series_compose(a, b).coeffs == tuple(expected)
 
 
+def kings_scaled_by_binomials(n, m):
+    """2^m times the inner sum of the kings formula, as a sum of binomials.
+
+    Grouped by the number j of parts equal to 1: choose their positions,
+    then compose the remaining n - j into m - j parts >= 2, in
+    C(n - m - 1, m - j - 1) ways (or 1 way when j = m = n).  Each such
+    composition weighs 2^(m - j).
+    """
+    scaled = sum(math.comb(m, j) * math.comb(n - m - 1, m - j - 1) << (m - j)
+                 for j in range(max(0, 2 * m - n), m))
+    return scaled + (m == n)
+
+
+def kings_by_binomials(n):
+    """a_n by the explicit formula, each term from kings_scaled_by_binomials."""
+    return sum((-1) ** (n + m) * math.factorial(m) * kings_scaled_by_binomials(n, m)
+               for m in range(1, n + 1))
+
+
 class TestKingsCounts:
     def test_a_via_series(self):
         assert a_via_series(8).coeffs == (1, 1, 0, 0, 2, 14, 90, 646, 5242)
@@ -209,6 +229,28 @@ class TestKingsCounts:
                 assert isinstance(inner, Fraction)
                 d = inner.denominator
                 assert d & (d - 1) == 0
+
+    def test_terms_match_binomial_oracle(self):
+        for n in range(1, SEQUENCE_MAX + 1):
+            terms = a_formula_terms(n)
+            assert len(terms) == n
+            for m, (inner, term) in enumerate(terms, 1):
+                scaled = kings_scaled_by_binomials(n, m)
+                assert inner * 2**m == scaled
+                assert term == (-1) ** (n + m) * math.factorial(m) * scaled
+
+    def test_table_matches_binomial_oracle(self):
+        expected = [1] + [kings_by_binomials(n) for n in range(1, SEQUENCE_MAX + 1)]
+        assert a_formula_table(SEQUENCE_MAX) == expected
+        assert [a_formula(n) for n in range(1, SEQUENCE_MAX + 1)] == expected[1:]
+
+    def test_size_errors(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            a_formula(0)
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            a_formula_terms(0)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            a_formula_table(-1)
 
     def test_binomial_guard(self):
         assert binomial(3, -1) == 0
